@@ -374,12 +374,14 @@ def _print_summary(records: list[register.PairResult]) -> None:
         )
 
 
-def _evaluate_records(args, seq_a, seq_b, pairs, enc, downsample=None):
-    ransac = register.RansacConfig(
-        iterations=args.ransac_iterations,
-        inlier_threshold=args.inlier_threshold,
-        seed=args.seed,
-    )
+def _ransac_config(**kwargs) -> register.RansacConfig:
+    try:
+        return register.RansacConfig(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _evaluate_records(args, seq_a, seq_b, pairs, enc, ransac, downsample=None):
     if args.oracle_gt:
         out = []
         for r in pairs:
@@ -395,6 +397,8 @@ def _evaluate_records(args, seq_a, seq_b, pairs, enc, downsample=None):
 
 
 def cmd_evaluate(args) -> int:
+    ransac = _ransac_config(iterations=args.ransac_iterations,
+                            inlier_threshold=args.inlier_threshold, seed=args.seed)
     seq_a = dataio.load_dataset(_check_input(args.dataset, "dataset"))
     seq_b = seq_a if args.dataset_b is None else dataio.load_dataset(
         _check_input(args.dataset_b, "dataset-b"))
@@ -414,15 +418,15 @@ def cmd_evaluate(args) -> int:
         print("density protocol: ratio,rr,n_pairs")
         for ratio in ratios:
             downsample = (ratio, args.seed) if ratio < 1.0 else None
-            records = _evaluate_records(args, seq_a, seq_b, pairs, enc, downsample)
+            records = _evaluate_records(args, seq_a, seq_b, pairs, enc, ransac, downsample)
             arm_path = out.with_name(f"{out.stem}.r{ratio:g}{out.suffix}")
             arm_path = _check_output_file(arm_path, args.force)
             _atomic_replace(lambda tmp, rec=records: register.write_results(tmp, rec), arm_path)
-            rr = float(np.mean([r.success[criterion.name] for r in records]))
+            rr = register.registration_recall(records, criterion)
             print(f"{ratio:g},{rr:.4f},{len(records)}")
         return EXIT_OK
 
-    records = _evaluate_records(args, seq_a, seq_b, pairs, enc)
+    records = _evaluate_records(args, seq_a, seq_b, pairs, enc, ransac)
     _atomic_replace(lambda tmp: register.write_results(tmp, records), out)
     _print_summary(records)
 
@@ -434,12 +438,13 @@ def cmd_evaluate(args) -> int:
             if not grp:
                 print(f"{lo:g},{hi:g},,0")
                 continue
-            rr = float(np.mean([r.success[criterion.name] for r in grp]))
+            rr = register.registration_recall(grp, criterion)
             print(f"{lo:g},{hi:g},{rr:.4f},{len(grp)}")
     return EXIT_OK
 
 
 def cmd_benchmark(args) -> int:
+    ransac = _ransac_config(iterations=args.ransac_iterations, seed=args.seed)
     enc, _ = mdl.load_checkpoint(_check_input(args.checkpoint, "checkpoint"))
     sizes = _parse_int_list(args.sizes)
     if args.repeats < 1:
@@ -461,9 +466,7 @@ def cmd_benchmark(args) -> int:
             t_match.append(time.perf_counter() - t0)
             if len(corr) >= 3:
                 t0 = time.perf_counter()
-                register.ransac_register(
-                    corr, cloud_a, cloud_b,
-                    register.RansacConfig(iterations=args.ransac_iterations, seed=args.seed))
+                register.ransac_register(corr, cloud_a, cloud_b, ransac)
                 t_ransac.append(time.perf_counter() - t0)
         lines.append(f"encoder,{n},{float(np.median(t_enc)):.6f}")
         lines.append(f"matching,{n},{float(np.median(t_match)):.6f}")

@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 from . import model as mdl
 from .aggregate import ApgConfig, DisturbConfig, generate_apc, select_nonkey_frames
 from .dataio import FrameSequence, PairSpec, distill_records
-from .errors import EmptyResults, NonFinite, NonFiniteLoss, NoPairs
+from .errors import NonFinite, NonFiniteLoss, NoPairs
 from .geometry import (
     Correspondences,
     Points,
@@ -40,6 +40,7 @@ from .register import (
     evaluate,
     match_features,
     ransac_register,
+    registration_recall,
 )
 
 # Each training step's gradient is rescaled to at most this L2 norm over
@@ -473,12 +474,6 @@ def random_downsample(cloud, ratio: float, rng: np.random.Generator) -> Points:
     return pts[idx]
 
 
-def _recall(results: list[PairResult], criterion: Criterion) -> float:
-    if not results:
-        raise EmptyResults("no results to aggregate")
-    return float(np.mean([r.success[criterion.name] for r in results]))
-
-
 def eval_distance_bins(
     enc: mdl.EncoderParams,
     seq_a: FrameSequence,
@@ -503,7 +498,7 @@ def eval_distance_bins(
             out[bin_] = {"rr": None, "n_pairs": 0}
             continue
         results = evaluate_pairs(seq_a, seq_b, records, enc, ransac, input_voxel_size)
-        out[bin_] = {"rr": _recall(results, criterion), "n_pairs": len(records)}
+        out[bin_] = {"rr": registration_recall(results, criterion), "n_pairs": len(records)}
     return out
 
 
@@ -529,7 +524,7 @@ def eval_disturb(
         enc, _, _ = train(seq_a, seq_b, list(train_pairs), run_cfg)
         results = evaluate_pairs(seq_a, seq_b, list(val_pairs), enc, ransac,
                                  cfg.input_voxel_size)
-        out[int(n)] = _recall(results, criterion)
+        out[int(n)] = registration_recall(results, criterion)
     return out
 
 
@@ -554,5 +549,5 @@ def eval_density(
             seq_a, seq_b, list(val_pairs), enc, ransac, input_voxel_size,
             downsample=(float(r), seed) if r < 1 else None,
         )
-        out[float(r)] = _recall(results, criterion)
+        out[float(r)] = registration_recall(results, criterion)
     return out

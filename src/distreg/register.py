@@ -6,6 +6,7 @@ evaluation under the loose / normal / strict criteria.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,8 @@ class RansacConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.inlier_threshold <= 0:
-            raise ValueError("inlier_threshold must be positive")
+        if not (math.isfinite(self.inlier_threshold) and self.inlier_threshold > 0):
+            raise ValueError("inlier_threshold must be positive and finite")
         if self.sample_size < 3:
             raise ValueError("sample_size must be >= 3")
 
@@ -115,6 +116,44 @@ def _batched_kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.nd
     return R, t, degenerate
 
 
+def _squared_threshold(thr: float) -> float:
+    """The smallest float64 x with sqrt(x) >= thr. sqrt is correctly rounded
+    and monotone, so ``d2 < x`` holds exactly when ``sqrt(d2) < thr``; the
+    plain ``thr * thr`` can be off by an ulp (0.3 * 0.3 is 0.09, one above)."""
+    thr = float(thr)
+    x = thr * thr
+    while math.sqrt(x) >= thr:
+        x = math.nextafter(x, 0.0)
+    while math.sqrt(x) < thr:
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def _squared_residuals(R: np.ndarray, t: np.ndarray, src_t: np.ndarray,
+                       dst_t: np.ndarray) -> np.ndarray:
+    """(B, n) squared distances |R_b s + t_b - d|^2 from (3, n) coordinate
+    rows, one axis at a time. They are rounded bit for bit as
+    ``np.linalg.norm(np.einsum("bij,nj->bni", R, src) + t[:, None] - dst, axis=2)``
+    rounds them before its sqrt: numpy 2's einsum on x86-64 contracts the
+    length-3 axis in two SIMD lanes, giving (p0 + p2) + p1, and the norm sums
+    the squares left to right. tests/test_register.py keeps that scorer as
+    the reference."""
+    shape = (R.shape[0], src_t.shape[1])
+    d2, e, p = np.empty(shape), np.empty(shape), np.empty(shape)
+    sx, sy, sz = src_t
+    for c in range(3):
+        out = d2 if c == 0 else e
+        np.multiply(R[:, c, 0, None], sx, out=out)
+        out += np.multiply(R[:, c, 2, None], sz, out=p)
+        out += np.multiply(R[:, c, 1, None], sy, out=p)
+        out += t[:, c, None]
+        out -= dst_t[c]
+        np.square(out, out=out)
+        if c:
+            d2 += e
+    return d2
+
+
 def ransac_register(
     corr: Correspondences, cloud_a, cloud_b, cfg: RansacConfig
 ) -> RansacEstimate:
@@ -133,6 +172,8 @@ def ransac_register(
     rng = np.random.default_rng(cfg.seed)
     samples = rng.integers(0, n, size=(cfg.iterations, cfg.sample_size))
 
+    src_t, dst_t = src.T.copy(), dst.T.copy()
+    thr2 = _squared_threshold(cfg.inlier_threshold)
     best_count = -1
     best_R = np.eye(3)
     best_t = np.zeros(3)
@@ -142,9 +183,8 @@ def ransac_register(
         # repeated indices within a sample make it degenerate; the rank test
         # inside the batched fit catches them along with collinear triples
         R, t, degenerate = _batched_kabsch(src[block[:, :3]], dst[block[:, :3]])
-        moved = np.einsum("bij,nj->bni", R, src) + t[:, None, :]
-        resid = np.linalg.norm(moved - dst[None, :, :], axis=2)
-        counts = np.count_nonzero(resid < cfg.inlier_threshold, axis=1)
+        d2 = _squared_residuals(R, t, src_t, dst_t)
+        counts = np.count_nonzero(d2 < thr2, axis=1)
         counts[degenerate] = -1
         bi = int(np.argmax(counts))  # first maximum: earliest hypothesis wins ties
         if counts[bi] > best_count:
@@ -184,11 +224,12 @@ def evaluate(
 
 
 def registration_recall(results, criterion: Criterion) -> float:
-    """Fraction of results succeeding under the criterion."""
+    """Fraction of results (RegistrationResult or PairResult) succeeding
+    under the criterion."""
     results = list(results)
     if not results:
         raise EmptyResults("registration recall over zero results")
-    return sum(r.succeeded(criterion) for r in results) / len(results)
+    return sum(r.success[criterion.name] for r in results) / len(results)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,16 @@ class TestEvaluate:
         assert run(["evaluate", "--dataset", dataset, "--pairs", pairs_file,
                     "--out", tmp_path / "r.csv"]) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--ransac-iterations", 0),
+                                            ("--inlier-threshold", 0),
+                                            ("--inlier-threshold", "nan")])
+    def test_bad_ransac_config_usage_error(self, dataset, pairs_file, checkpoint, tmp_path,
+                                           flag, value):
+        out = tmp_path / "r.csv"
+        assert run(["evaluate", "--dataset", dataset, "--pairs", pairs_file,
+                    "--checkpoint", checkpoint, flag, value, "--out", out]) == 2
+        assert not out.exists()
+
     def test_empty_pairs_exit_4(self, dataset, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("i,j,distance_m,overlap\n")
@@ -271,6 +281,10 @@ class TestBenchmark:
         ts = np.log(np.array([times[n] for n in sorted(times)]))
         exponent = np.polyfit(ns, ts, 1)[0]
         assert exponent < 1.3, f"encoder scaling exponent {exponent:.2f}"
+
+    def test_zero_ransac_iterations_usage_error(self, checkpoint):
+        assert run(["benchmark", "--checkpoint", checkpoint, "--sizes", "200",
+                    "--repeats", 1, "--ransac-iterations", 0]) == 2
 
     def test_missing_checkpoint_exit_3(self, tmp_path):
         assert run(["benchmark", "--checkpoint", tmp_path / "none.ckpt"]) == 3

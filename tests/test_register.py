@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from distreg import register as reg
 from distreg.errors import (
@@ -20,6 +21,22 @@ from distreg.geometry import (
 
 def identity_corr(n):
     return Correspondences(np.stack([np.arange(n)] * 2, axis=1))
+
+
+def reference_counts(R, t, src, dst, thr):
+    """The scorer ransac_register used before the fused kernel: apply each
+    hypothesis to every source point, then threshold the Euclidean norm."""
+    moved = np.einsum("bij,nj->bni", R, src) + t[:, None, :]
+    resid = np.linalg.norm(moved - dst[None, :, :], axis=2)
+    return np.count_nonzero(resid < thr, axis=1)
+
+
+def fused_counts(R, t, src, dst, thr):
+    d2 = reg._squared_residuals(R, t, src.T.copy(), dst.T.copy())
+    return np.count_nonzero(d2 < reg._squared_threshold(thr), axis=1)
+
+
+positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 class TestCriteria:
@@ -121,6 +138,52 @@ class TestRansac:
         a = rng.uniform(-1, 1, (2, 3))
         with pytest.raises(TooFewCorrespondences):
             reg.ransac_register(identity_corr(2), a, a, reg.RansacConfig(iterations=10))
+
+
+class TestRansacConfig:
+    @pytest.mark.parametrize("thr", [float("nan"), float("inf"), -float("inf"), 0.0, -0.3])
+    def test_rejects_bad_inlier_threshold(self, thr):
+        with pytest.raises(ValueError):
+            reg.RansacConfig(inlier_threshold=thr)
+
+
+class TestScoringKernel:
+    def test_threshold_naive_square_is_one_ulp_high(self):
+        x = reg._squared_threshold(0.3)
+        assert 0.3 * 0.3 == 0.09
+        assert x == 0.08999999999999998 == np.nextafter(0.09, 0)
+
+    @given(positive_floats)
+    def test_threshold_is_smallest_square_at_or_above(self, thr):
+        x = reg._squared_threshold(thr)
+        assert np.sqrt(x) >= thr
+        assert np.sqrt(np.nextafter(x, 0.0)) < thr
+
+    @given(positive_floats, st.floats(min_value=0.0, allow_infinity=False))
+    def test_squared_compare_equals_root_compare(self, thr, d2):
+        assert (d2 < reg._squared_threshold(thr)) == (np.sqrt(d2) < thr)
+
+    @pytest.mark.parametrize("b,n", [(1, 3), (2, 20), (7, 97), (64, 331), (512, 50)])
+    def test_counts_equal_einsum_norm_reference(self, b, n):
+        srng = np.random.default_rng([b, n])
+        src = srng.uniform(-30, 30, (n, 3))
+        idx = srng.integers(0, n, (b, 3))
+        dst = src @ random_transform(srng, 5.0).rotation.T + srng.normal(0, 0.2, (n, 3))
+        R, t, _ = reg._batched_kabsch(src[idx], dst[idx])
+        # put hypothesis 0's residuals within a few ulps of the threshold,
+        # where any rounding difference between the scorers would flip counts
+        thr = 0.3
+        moved = src @ R[0].T + t[0]
+        u = srng.normal(size=(n, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        dst = moved + u * (thr * (1 + srng.integers(-4, 5, n) * np.finfo(float).eps))[:, None]
+        ref = reference_counts(R, t, src, dst, thr)
+        if n > 3:
+            assert 0 < ref[0] < n
+        np.testing.assert_array_equal(fused_counts(R, t, src, dst, thr), ref)
+        for other in (0.05, 1.0, 7.5):
+            np.testing.assert_array_equal(fused_counts(R, t, src, dst, other),
+                                          reference_counts(R, t, src, dst, other))
 
 
 class TestEvaluate:
