@@ -11,7 +11,6 @@ from .dataio import (
     FrameSequence,
     PairRecord,
     PairSpec,
-    distill_pairs,
     distill_records,
     load_dataset,
     load_kitti_bin,
@@ -25,7 +24,6 @@ from .geometry import (
     NeighborIndex,
     RigidTransform,
     apply_transform,
-    build_index,
     kabsch,
     overlap_ratio,
     rre,
@@ -48,7 +46,6 @@ from .model import (
 )
 from .pipeline import (
     CurriculumSpec,
-    ExperimentConfig,
     TrainConfig,
     TrainLog,
     eval_density,

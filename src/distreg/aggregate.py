@@ -15,10 +15,10 @@ import numpy as np
 from .dataio import FrameSequence
 from .errors import NoNeighborFrames
 from .geometry import (
+    NeighborIndex,
     Points,
     apply_transform,
     as_points,
-    build_index,
     rotation_about_axis,
     voxel_downsample,
 )
@@ -140,7 +140,7 @@ def apc_coverage_gain(key_frame_cropped, apc, tau: float) -> float:
     agg = as_points(apc, allow_empty=False)
     if tau <= 0:
         raise ValueError("tau must be positive")
-    d, _ = build_index(key).nearest(agg)
+    d, _ = NeighborIndex(key).nearest(agg)
     return float(np.count_nonzero(d > tau)) / agg.shape[0]
 
 

@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,16 @@ class UsageError(DistregError):
     pass
 
 
+@contextmanager
+def _usage_errors():
+    """Report a ValueError raised while building a run's configuration as a
+    UsageError (exit 2). Used before any data is loaded."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # Output helpers
 # ---------------------------------------------------------------------------
@@ -240,22 +251,19 @@ def _atomic_replace(write_fn, final_path: Path) -> None:
             tmp.unlink()
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _parse_list(flag: str, text: str, item) -> list:
+    """Comma-separated values of one flag, each converted by ``item``."""
+    try:
+        return [item(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
-def _parse_bins(text: str) -> list[tuple[float, float]]:
-    bins = []
-    for part in text.split(","):
-        if not part.strip():
-            continue
-        lo, _, hi = part.partition(":")
-        bins.append((float(lo), float(hi)))
-    return bins
+def _parse_bin(text: str) -> tuple[float, float]:
+    lo, sep, hi = text.partition(":")
+    if not sep:
+        raise ValueError(f"expected lo:hi, got {text.strip()!r}")
+    return float(lo), float(hi)
 
 
 # ---------------------------------------------------------------------------
@@ -310,32 +318,33 @@ def cmd_distill(args) -> int:
 
 
 def _train_config(args) -> pipeline.TrainConfig:
-    decoder_hidden = tuple(_parse_int_list(args.decoder_hidden))
-    return pipeline.TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        momentum=args.momentum,
-        seed=args.seed,
-        input_voxel_size=args.input_voxel_size,
-        model=mdl.ModelConfig(
-            k=args.k, l=args.feature_dim, phi=args.phi,
-            decoder_variant=args.decoder_variant, decoder_hidden=decoder_hidden,
-        ),
-        apg=ApgConfig(psi=args.psi, alpha=args.alpha,
-                      scope_radius=args.scope_radius, voxel_size=args.voxel_size),
-        loss=LossConfig(lambda1=args.lambda1, lambda2=args.lambda2,
-                        m_p=args.m_pos, m_n=args.m_neg),
-        n_disturb=args.n_disturb,
-    )
+    with _usage_errors():
+        decoder_hidden = tuple(_parse_list("--decoder-hidden", args.decoder_hidden, int))
+        return pipeline.TrainConfig(
+            epochs=args.epochs,
+            learning_rate=args.lr,
+            momentum=args.momentum,
+            seed=args.seed,
+            input_voxel_size=args.input_voxel_size,
+            model=mdl.ModelConfig(
+                k=args.k, l=args.feature_dim, phi=args.phi,
+                decoder_variant=args.decoder_variant, decoder_hidden=decoder_hidden,
+            ),
+            apg=ApgConfig(psi=args.psi, alpha=args.alpha,
+                          scope_radius=args.scope_radius, voxel_size=args.voxel_size),
+            loss=LossConfig(lambda1=args.lambda1, lambda2=args.lambda2,
+                            m_p=args.m_pos, m_n=args.m_neg),
+            n_disturb=args.n_disturb,
+        )
 
 
 def cmd_train(args) -> int:
+    cfg = _train_config(args)
     seq_a = dataio.load_dataset(_check_input(args.dataset, "dataset"))
     seq_b = seq_a if args.dataset_b is None else dataio.load_dataset(
         _check_input(args.dataset_b, "dataset-b"))
     out = _check_output_file(args.out, args.force)
     log_path = _check_output_file(args.log, args.force) if args.log else None
-    cfg = _train_config(args)
 
     if args.curriculum:
         spec = pipeline.CurriculumSpec(
@@ -374,31 +383,32 @@ def _print_summary(records: list[register.PairResult]) -> None:
         )
 
 
-def _ransac_config(**kwargs) -> register.RansacConfig:
-    try:
-        return register.RansacConfig(**kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _evaluate_records(args, seq_a, seq_b, pairs, enc, ransac, downsample=None):
-    if args.oracle_gt:
-        out = []
-        for r in pairs:
-            fa = seq_a[seq_a.position_of(r.i)]
-            fb = seq_b[seq_b.position_of(r.j)]
-            gt = pipeline.relative_gt(fa, fb)
-            res = register.evaluate(gt, gt, register.CRITERIA, 0)
-            out.append(register.PairResult(
-                r.i, r.j, r.distance, r.overlap, res.rre, res.rte, res.success, 0))
-        return out
-    return pipeline.evaluate_pairs(
-        seq_a, seq_b, pairs, enc, ransac, args.input_voxel_size, downsample=downsample)
+def _oracle_records(seq_a, seq_b, pairs) -> list[register.PairResult]:
+    """Score the ground-truth transform itself: full recall by construction."""
+    out = []
+    for r in pairs:
+        gt = pipeline.relative_gt(seq_a[seq_a.position_of(r.i)], seq_b[seq_b.position_of(r.j)])
+        res = register.evaluate(gt, gt, register.CRITERIA, 0)
+        out.append(register.PairResult(
+            r.i, r.j, r.distance, r.overlap, res.rre, res.rte, res.success, 0))
+    return out
 
 
 def cmd_evaluate(args) -> int:
-    ransac = _ransac_config(iterations=args.ransac_iterations,
-                            inlier_threshold=args.inlier_threshold, seed=args.seed)
+    if args.density_ratios and (args.bins or args.oracle_gt):
+        raise UsageError("--density-ratios cannot be combined with --bins or --oracle-gt")
+    if not args.oracle_gt and not args.checkpoint:
+        raise UsageError("--checkpoint is required unless --oracle-gt is set")
+    with _usage_errors():
+        ransac = register.RansacConfig(iterations=args.ransac_iterations,
+                                       inlier_threshold=args.inlier_threshold, seed=args.seed)
+        bins = ratios = None
+        if args.bins:
+            bins = pipeline.check_distance_bins(_parse_list("--bins", args.bins, _parse_bin))
+        if args.density_ratios:
+            ratios = pipeline.check_density_ratios(
+                _parse_list("--density-ratios", args.density_ratios, float))
+    criterion = register.criterion_by_name(args.criterion)
     seq_a = dataio.load_dataset(_check_input(args.dataset, "dataset"))
     seq_b = seq_a if args.dataset_b is None else dataio.load_dataset(
         _check_input(args.dataset_b, "dataset-b"))
@@ -407,48 +417,44 @@ def cmd_evaluate(args) -> int:
         raise EmptyResultGuard("pairs file is empty")
     enc = None
     if not args.oracle_gt:
-        if not args.checkpoint:
-            raise UsageError("--checkpoint is required unless --oracle-gt is set")
         enc, _ = mdl.load_checkpoint(_check_input(args.checkpoint, "checkpoint"))
     out = _check_output_file(args.out, args.force)
-    criterion = register.criterion_by_name(args.criterion)
 
-    if args.density_ratios:
-        ratios = _parse_float_list(args.density_ratios)
+    if ratios is not None:
+        arm_paths = {r: _check_output_file(out.with_name(f"{out.stem}.r{r:g}{out.suffix}"),
+                                           args.force) for r in ratios}
         print("density protocol: ratio,rr,n_pairs")
-        for ratio in ratios:
-            downsample = (ratio, args.seed) if ratio < 1.0 else None
-            records = _evaluate_records(args, seq_a, seq_b, pairs, enc, ransac, downsample)
-            arm_path = out.with_name(f"{out.stem}.r{ratio:g}{out.suffix}")
-            arm_path = _check_output_file(arm_path, args.force)
-            _atomic_replace(lambda tmp, rec=records: register.write_results(tmp, rec), arm_path)
+        arms = pipeline.eval_density(enc, seq_a, seq_b, pairs, ratios, ransac,
+                                     args.seed, args.input_voxel_size)
+        for ratio, records in arms.items():
+            _atomic_replace(lambda tmp, rec=records: register.write_results(tmp, rec),
+                            arm_paths[ratio])
             rr = register.registration_recall(records, criterion)
             print(f"{ratio:g},{rr:.4f},{len(records)}")
         return EXIT_OK
 
-    records = _evaluate_records(args, seq_a, seq_b, pairs, enc, ransac)
+    if args.oracle_gt:
+        records = _oracle_records(seq_a, seq_b, pairs)
+    else:
+        records = pipeline.evaluate_pairs(seq_a, seq_b, pairs, enc, ransac, args.input_voxel_size)
     _atomic_replace(lambda tmp: register.write_results(tmp, records), out)
     _print_summary(records)
 
-    if args.bins:
-        bins = _parse_bins(args.bins)
+    if bins is not None:
         print("bin_lo,bin_hi,rr,n_pairs")
-        for lo, hi in bins:
-            grp = [r for r in records if lo <= r.distance <= hi]
-            if not grp:
-                print(f"{lo:g},{hi:g},,0")
-                continue
-            rr = register.registration_recall(grp, criterion)
-            print(f"{lo:g},{hi:g},{rr:.4f},{len(grp)}")
+        for (lo, hi), entry in pipeline.eval_distance_bins(records, bins, criterion).items():
+            rr = "" if entry["rr"] is None else f"{entry['rr']:.4f}"
+            print(f"{lo:g},{hi:g},{rr},{entry['n_pairs']}")
     return EXIT_OK
 
 
 def cmd_benchmark(args) -> int:
-    ransac = _ransac_config(iterations=args.ransac_iterations, seed=args.seed)
-    enc, _ = mdl.load_checkpoint(_check_input(args.checkpoint, "checkpoint"))
-    sizes = _parse_int_list(args.sizes)
+    with _usage_errors():
+        ransac = register.RansacConfig(iterations=args.ransac_iterations, seed=args.seed)
+        sizes = _parse_list("--sizes", args.sizes, int)
     if args.repeats < 1:
         raise UsageError("--repeats must be >= 1")
+    enc, _ = mdl.load_checkpoint(_check_input(args.checkpoint, "checkpoint"))
     rng = np.random.default_rng(args.seed)
     lines = ["stage,n,median_seconds"]
     for n in sizes:

@@ -167,11 +167,6 @@ def distill_records(
     return out
 
 
-def distill_pairs(seq_a, seq_b, spec: PairSpec, tau: float = 0.5) -> list[tuple[int, int]]:
-    """Frame-index pairs satisfying the distance bin and overlap cap."""
-    return [(r.i, r.j) for r in distill_records(seq_a, seq_b, spec, tau)]
-
-
 def write_pairs_file(path, records: list[PairRecord]) -> None:
     lines = ["i,j,distance_m,overlap"]
     lines += [f"{r.i},{r.j},{r.distance:.17g},{r.overlap:.17g}" for r in records]
@@ -189,7 +184,11 @@ def read_pairs_file(path) -> list[PairRecord]:
         parts = line.split(",")
         if len(parts) != 4:
             raise MalformedFile(f"{path}:{lineno}: expected 4 fields")
-        records.append(PairRecord(int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])))
+        try:
+            records.append(PairRecord(int(parts[0]), int(parts[1]),
+                                      float(parts[2]), float(parts[3])))
+        except ValueError as exc:
+            raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
     return records
 
 

@@ -157,11 +157,6 @@ class NeighborIndex:
         return d, i
 
 
-def build_index(cloud) -> NeighborIndex:
-    """Build an exact NN index; raises EmptyCloud on an empty input."""
-    return NeighborIndex(cloud)
-
-
 def apply_transform(cloud, transform: RigidTransform) -> Points:
     """Map every point p to R·p + t. Input is left unmodified."""
     pts = as_points(cloud)

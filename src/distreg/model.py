@@ -14,6 +14,7 @@ the encoder stages over the cloud's neighborhoods.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -552,22 +553,28 @@ def load_checkpoint(path) -> tuple[EncoderParams, DecoderParams]:
     if raw[:4] != _CHECKPOINT_MAGIC:
         raise MalformedFile(f"{path}: bad checkpoint magic")
     off = 4
-    version, k, l, phi, variant_code, normalize, _, dec_k = struct.unpack_from("<IIIIBBHI", raw, off)
-    off += struct.calcsize("<IIIIBBHI")
+
+    def take(size: int) -> int:
+        """Offset of the next ``size`` bytes; raises if the file ends first."""
+        nonlocal off
+        if len(raw) - off < size:
+            raise MalformedFile(f"{path}: truncated checkpoint at byte {len(raw)}")
+        off += size
+        return off - size
+
+    header = "<IIIIBBHI"
+    version, k, l, phi, variant_code, normalize, _, dec_k = struct.unpack_from(
+        header, raw, take(struct.calcsize(header)))
     if version != _CHECKPOINT_VERSION:
         raise MalformedFile(f"{path}: unsupported checkpoint version {version}")
-    (n_tensors,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    (n_tensors,) = struct.unpack_from("<I", raw, take(4))
     tensors = []
     for _ in range(n_tensors):
-        (ndim,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", raw, off)
-        off += 4 * ndim
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape).copy()
-        off += 8 * count
-        tensors.append(arr)
+        (ndim,) = struct.unpack_from("<B", raw, take(1))
+        shape = struct.unpack_from(f"<{ndim}I", raw, take(4 * ndim))
+        count = math.prod(shape)
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=take(8 * count))
+        tensors.append(arr.reshape(shape).copy())
     if off != len(raw):
         raise MalformedFile(f"{path}: trailing bytes in checkpoint")
     if len(tensors) < 9:

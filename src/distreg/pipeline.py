@@ -67,9 +67,7 @@ class TrainConfig:
     momentum: float = 0.9
     seed: int = 0
     input_voxel_size: float = 0.0      # 0 disables key-frame pre-voxelization
-    crop_to_scope: bool = True         # crop training key frames to the scope sphere
     gt_corr_radius: float = 0.3
-    val_inlier_radius: float = 0.6
     model: mdl.ModelConfig = field(default_factory=mdl.ModelConfig)
     apg: ApgConfig = field(default_factory=ApgConfig)
     loss: LossConfig = field(default_factory=LossConfig)
@@ -82,6 +80,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
+        if self.n_disturb < 0:
+            raise ValueError("n_disturb must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -106,17 +106,6 @@ class CurriculumSpec:
     @property
     def finetune_bin(self) -> tuple[float, float]:
         return (self.pretrain_bin[0], self.d2)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    distance_bins: tuple[tuple[float, float], ...] = ((5.0, 10.0), (10.0, 20.0), (20.0, 30.0))
-    n_disturb_sweep: tuple[int, ...] = (0, 1, 2, 3, 4, 5)
-    downsample_ratios: tuple[float, ...] = (0.1, 0.2, 0.5, 1.0)
-
-    def __post_init__(self):
-        if any(not 0 < r <= 1 for r in self.downsample_ratios):
-            raise ValueError("downsample ratios must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -280,14 +269,10 @@ class _PairContext:
 def _build_pair_context(seq_a, seq_b, i, j, cfg: TrainConfig) -> _PairContext:
     fa = seq_a[seq_a.position_of(i)]
     fb = seq_b[seq_b.position_of(j)]
-    ca, cb = fa.cloud, fb.cloud
-    if cfg.crop_to_scope:
-        # keep training inputs within the geometry the aggregate target covers
-        r = cfg.apg.scope_radius
-        ca = ca[np.linalg.norm(ca, axis=1) <= r]
-        cb = cb[np.linalg.norm(cb, axis=1) <= r]
-    ca = _prepare_cloud(ca, cfg.input_voxel_size)
-    cb = _prepare_cloud(cb, cfg.input_voxel_size)
+    # keep training inputs within the geometry the aggregate target covers
+    r = cfg.apg.scope_radius
+    ca = _prepare_cloud(fa.cloud[np.linalg.norm(fa.cloud, axis=1) <= r], cfg.input_voxel_size)
+    cb = _prepare_cloud(fb.cloud[np.linalg.norm(fb.cloud, axis=1) <= r], cfg.input_voxel_size)
     gt = relative_gt(fa, fb)
     pairs = gt_correspondences(ca, cb, gt, cfg.gt_corr_radius)
     return _PairContext(ca, cb, gt, pairs, i, j)
@@ -326,7 +311,7 @@ def train(
             # at most what the selector can provide
             available = len(select_nonkey_frames(seq, key_index, cfg.apg))
             disturb = DisturbConfig(min(cfg.n_disturb, available),
-                                    seed=_derive(cfg.seed, _TAG_DISTURB, step))
+                                    seed=[cfg.seed, _TAG_DISTURB, step])
             return reachable_target(generate_apc(seq, key_index, cfg.apg, disturb), cloud)
         cache_key = (which, key_index, 0)
         if cache_key not in apc_cache:
@@ -372,14 +357,9 @@ def train(
                 vctx = contexts[key]
                 fa = mdl.encoder_forward(vctx.cloud_a, enc)
                 fb = mdl.encoder_forward(vctx.cloud_b, enc)
-                ratios.append(feature_inlier_ratio(
-                    fa, fb, vctx.cloud_a, vctx.cloud_b, vctx.gt, cfg.val_inlier_radius))
+                ratios.append(feature_inlier_ratio(fa, fb, vctx.cloud_a, vctx.cloud_b, vctx.gt))
             log.epochs.append(EpochRecord(epoch, float(np.mean(ratios))))
     return enc, dec, log
-
-
-def _derive(seed: int, tag: int, step: int) -> list[int]:
-    return [int(seed), int(tag), int(step)]
 
 
 def train_curriculum(
@@ -452,7 +432,7 @@ def evaluate_pairs(
         if downsample is not None:
             ratio, seed = downsample
             cloud_a = random_downsample(cloud_a, ratio, np.random.default_rng(
-                _derive(seed, _TAG_DENSITY, i * 1_000_003 + j)))
+                [seed, _TAG_DENSITY, i * 1_000_003 + j]))
         gt = relative_gt(fa, fb)
         est = register_pair(cloud_a, fb.cloud, enc, ransac, input_voxel_size)
         res = evaluate(est.transform, gt, CRITERIA, est.inlier_count)
@@ -474,31 +454,36 @@ def random_downsample(cloud, ratio: float, rng: np.random.Generator) -> Points:
     return pts[idx]
 
 
-def eval_distance_bins(
-    enc: mdl.EncoderParams,
-    seq_a: FrameSequence,
-    seq_b: FrameSequence,
-    bins,
-    criterion: Criterion,
-    ransac: RansacConfig,
-    tau: float = 0.5,
-    overlap_max: float = 1.0,
-    input_voxel_size: float = 0.0,
-) -> dict[tuple[float, float], dict]:
-    """Distill pairs per distance bin and report recall per bin. Empty bins
-    are reported with rr=None rather than failing."""
-    bins = [tuple(b) for b in bins]
-    for (a1, a2), (b1, b2) in zip(sorted(bins), sorted(bins)[1:]):
+def check_distance_bins(bins) -> list[tuple[float, float]]:
+    """Distance bins as float pairs; each needs 0 <= lo < hi and no two may
+    overlap (touching ends are allowed)."""
+    bins = [(float(lo), float(hi)) for lo, hi in bins]
+    if any(not 0 <= lo < hi for lo, hi in bins):
+        raise ValueError("distance bins need 0 <= lo < hi")
+    ordered = sorted(bins)
+    for (_, a2), (b1, _) in zip(ordered, ordered[1:]):
         if b1 < a2:
             raise ValueError("distance bins must be non-overlapping")
+    return bins
+
+
+def check_density_ratios(ratios) -> list[float]:
+    """Density ratios as floats, each in (0, 1]."""
+    ratios = [float(r) for r in ratios]
+    if any(not 0 < r <= 1 for r in ratios):
+        raise ValueError("density ratios must be in (0, 1]")
+    return ratios
+
+
+def eval_distance_bins(results, bins, criterion: Criterion) -> dict[tuple[float, float], dict]:
+    """Recall per inclusive distance bin (lo <= distance <= hi) over pairs
+    that were already evaluated, in the order the bins are given. Empty
+    bins are reported with rr=None rather than failing."""
     out = {}
-    for bin_ in bins:
-        records = distill_records(seq_a, seq_b, PairSpec(bin_[0], bin_[1], overlap_max), tau)
-        if not records:
-            out[bin_] = {"rr": None, "n_pairs": 0}
-            continue
-        results = evaluate_pairs(seq_a, seq_b, records, enc, ransac, input_voxel_size)
-        out[bin_] = {"rr": registration_recall(results, criterion), "n_pairs": len(records)}
+    for lo, hi in check_distance_bins(bins):
+        grp = [r for r in results if lo <= r.distance <= hi]
+        rr = registration_recall(grp, criterion) if grp else None
+        out[(lo, hi)] = {"rr": rr, "n_pairs": len(grp)}
     return out
 
 
@@ -534,20 +519,14 @@ def eval_density(
     seq_b: FrameSequence,
     val_pairs,
     ratios,
-    criterion: Criterion,
     ransac: RansacConfig,
     seed: int = 0,
     input_voxel_size: float = 0.0,
-) -> dict[float, float]:
-    """Registration recall with the first cloud of every pair uniformly
-    downsampled to each ratio."""
-    out = {}
-    for r in ratios:
-        if not 0 < r <= 1:
-            raise ValueError("ratios must be in (0, 1]")
-        results = evaluate_pairs(
-            seq_a, seq_b, list(val_pairs), enc, ransac, input_voxel_size,
-            downsample=(float(r), seed) if r < 1 else None,
-        )
-        out[float(r)] = registration_recall(results, criterion)
-    return out
+) -> dict[float, list[PairResult]]:
+    """Evaluated pairs per ratio, with the first cloud of every pair
+    uniformly downsampled to that ratio (ratio 1 keeps the cloud as it is)."""
+    return {
+        r: evaluate_pairs(seq_a, seq_b, list(val_pairs), enc, ransac, input_voxel_size,
+                          downsample=(r, seed))
+        for r in check_density_ratios(ratios)
+    }

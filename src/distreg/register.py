@@ -52,7 +52,6 @@ def criterion_by_name(name: str) -> Criterion:
 class RansacConfig:
     iterations: int = 50_000
     inlier_threshold: float = 0.3
-    sample_size: int = 3
     seed: int = 0
 
     def __post_init__(self):
@@ -60,8 +59,6 @@ class RansacConfig:
             raise ValueError("iterations must be >= 1")
         if not (math.isfinite(self.inlier_threshold) and self.inlier_threshold > 0):
             raise ValueError("inlier_threshold must be positive and finite")
-        if self.sample_size < 3:
-            raise ValueError("sample_size must be >= 3")
 
 
 @dataclass(frozen=True)
@@ -79,9 +76,6 @@ class RegistrationResult:
     rte: float
     inlier_count: int
     success: dict[str, bool]
-
-    def succeeded(self, criterion: Criterion) -> bool:
-        return self.success[criterion.name]
 
 
 def match_features(features_a, features_b) -> Correspondences:
@@ -163,14 +157,14 @@ def ransac_register(
     a = as_points(cloud_a)
     b = as_points(cloud_b)
     corr.validate_against(a.shape[0], b.shape[0])
-    if len(corr) < cfg.sample_size:
-        raise TooFewCorrespondences(f"need >= {cfg.sample_size} correspondences, got {len(corr)}")
+    if len(corr) < 3:
+        raise TooFewCorrespondences(f"need >= 3 correspondences, got {len(corr)}")
 
     src = a[corr.pairs[:, 0]]
     dst = b[corr.pairs[:, 1]]
     n = len(corr)
     rng = np.random.default_rng(cfg.seed)
-    samples = rng.integers(0, n, size=(cfg.iterations, cfg.sample_size))
+    samples = rng.integers(0, n, size=(cfg.iterations, 3))
 
     src_t, dst_t = src.T.copy(), dst.T.copy()
     thr2 = _squared_threshold(cfg.inlier_threshold)
@@ -182,7 +176,7 @@ def ransac_register(
         block = samples[start : start + chunk]
         # repeated indices within a sample make it degenerate; the rank test
         # inside the batched fit catches them along with collinear triples
-        R, t, degenerate = _batched_kabsch(src[block[:, :3]], dst[block[:, :3]])
+        R, t, degenerate = _batched_kabsch(src[block], dst[block])
         d2 = _squared_residuals(R, t, src_t, dst_t)
         counts = np.count_nonzero(d2 < thr2, axis=1)
         counts[degenerate] = -1
@@ -275,14 +269,20 @@ def read_results(path) -> list[PairResult]:
             raise MalformedFile(f"{path}: unexpected results header {header}")
         out = []
         for row in reader:
-            out.append(PairResult(
-                i=int(row[0]), j=int(row[1]),
-                distance=float(row[2]), overlap=float(row[3]),
-                rre=float(row[4]), rte=float(row[5]),
-                success={"loose": bool(int(row[6])), "normal": bool(int(row[7])),
-                         "strict": bool(int(row[8]))},
-                inlier_count=int(row[9]),
-            ))
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(_RESULT_FIELDS):
+                raise MalformedFile(f"{where}: expected {len(_RESULT_FIELDS)} fields")
+            try:
+                out.append(PairResult(
+                    i=int(row[0]), j=int(row[1]),
+                    distance=float(row[2]), overlap=float(row[3]),
+                    rre=float(row[4]), rte=float(row[5]),
+                    success={"loose": bool(int(row[6])), "normal": bool(int(row[7])),
+                             "strict": bool(int(row[8]))},
+                    inlier_count=int(row[9]),
+                ))
+            except ValueError as exc:
+                raise MalformedFile(f"{where}: {exc}") from exc
     return out
 
 

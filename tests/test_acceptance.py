@@ -16,7 +16,7 @@ from distreg import cli, dataio, geometry as g, losses as lo, model as mdl
 from distreg import aggregate as agg
 from distreg import pipeline as pl
 from distreg import simulate as sim
-from distreg.register import NORMAL, RansacConfig, evaluate, ransac_register
+from distreg.register import NORMAL, RansacConfig, evaluate, ransac_register, registration_recall
 
 
 def _report(number, name, elapsed, limit, detail=""):
@@ -47,7 +47,7 @@ def test_criterion_1_geometry_oracles():
     for trial in range(100):
         pts = rng.uniform(-10, 10, (200, 3))
         queries = rng.uniform(-12, 12, (20, 3))
-        d, i = g.build_index(pts).nearest(queries)
+        d, i = g.NeighborIndex(pts).nearest(queries)
         d2 = np.linalg.norm(queries[:, None, :] - pts[None, :, :], axis=2)
         np.testing.assert_array_equal(i, np.argmin(d2, axis=1))
         np.testing.assert_allclose(d, d2.min(axis=1), rtol=1e-12)
@@ -412,10 +412,10 @@ def test_criterion_8_protocol_smoke_sweeps(dense_scene):
                          _toy_train_config(0.3, 0.003, epochs=8, apg=apg_cfg))
     self_records = dataio.distill_records(seq_a, seq_a, dataio.PairSpec(3.0, 8.0, 1.0), 0.5)
     density_pairs = [(r.i, r.j) for r in self_records[::len(self_records) // 8]][:8]
-    density_rr = pl.eval_density(enc, seq_a, seq_a, density_pairs,
-                                 [0.1, 0.2, 0.5, 1.0], NORMAL,
-                                 RansacConfig(iterations=10_000, inlier_threshold=0.4, seed=0),
-                                 seed=3, input_voxel_size=0.3)
+    density = pl.eval_density(enc, seq_a, seq_a, density_pairs, [0.1, 0.2, 0.5, 1.0],
+                              RansacConfig(iterations=10_000, inlier_threshold=0.4, seed=0),
+                              seed=3, input_voxel_size=0.3)
+    density_rr = {r: registration_recall(res, NORMAL) for r, res in density.items()}
     assert sorted(density_rr) == [0.1, 0.2, 0.5, 1.0]
     assert all(np.isfinite(v) for v in density_rr.values())
     assert density_rr[1.0] >= density_rr[0.1]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from distreg import cli, dataio, model as mdl, register as reg
+from distreg import cli, dataio, model as mdl, pipeline, register as reg
 
 
 def run(args):
@@ -172,6 +172,18 @@ class TestTrain:
     def test_pairs_required_without_curriculum(self, dataset, tmp_path):
         assert run(["train", "--dataset", dataset, "--out", tmp_path / "x.ckpt"]) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--epochs", 0), ("--momentum", 1),
+                                            ("--decoder-hidden", "x"), ("--k", 0),
+                                            ("--m-pos", 2), ("--psi", 0),
+                                            ("--n-disturb", -1)])
+    def test_bad_train_config_usage_error(self, dataset, pairs_file, tmp_path, capsys,
+                                          flag, value):
+        out = tmp_path / "x.ckpt"
+        assert run(["train", "--dataset", dataset, "--pairs", pairs_file,
+                    flag, value, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_curriculum_mode(self, dataset, tmp_path):
         code = run(["train", "--dataset", dataset, "--curriculum",
                     "--curriculum-d2", 12, "--out", tmp_path / "cur.ckpt",
@@ -229,6 +241,53 @@ class TestEvaluate:
         printed = capsys.readouterr().out
         assert "density protocol" in printed
 
+    def test_density_identity_arm_matches_plain(self, dataset, pairs_file, checkpoint,
+                                                tmp_path):
+        args = ["evaluate", "--dataset", dataset, "--pairs", pairs_file,
+                "--checkpoint", checkpoint, "--ransac-iterations", 200,
+                "--input-voxel-size", 0.5]
+        assert run(args + ["--out", tmp_path / "plain.csv"]) == 0
+        assert run(args + ["--density-ratios", "1", "--out", tmp_path / "d.csv"]) == 0
+        assert (tmp_path / "d.r1.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_bins_match_pipeline(self, dataset, pairs_file, checkpoint, tmp_path, capsys):
+        out = tmp_path / "results.csv"
+        code = run(["evaluate", "--dataset", dataset, "--pairs", pairs_file,
+                    "--checkpoint", checkpoint, "--ransac-iterations", 200,
+                    "--input-voxel-size", 0.5, "--bins", "9:14,4:9,100:200",
+                    "--criterion", "loose", "--out", out])
+        assert code == 0
+        printed = capsys.readouterr().out.splitlines()
+        rows = printed[printed.index("bin_lo,bin_hi,rr,n_pairs") + 1:]
+        expect = pipeline.eval_distance_bins(
+            reg.read_results(out), [(9.0, 14.0), (4.0, 9.0), (100.0, 200.0)], reg.LOOSE)
+        assert len(rows) == len(expect) == 3
+        for row, ((lo, hi), entry) in zip(rows, expect.items()):
+            f_lo, f_hi, rr, n = row.split(",")
+            assert (float(f_lo), float(f_hi), int(n)) == (lo, hi, entry["n_pairs"])
+            if entry["rr"] is None:
+                assert rr == ""
+            else:
+                assert float(rr) == pytest.approx(entry["rr"], abs=5e-5)
+        assert sum(e["n_pairs"] for e in expect.values()) == len(reg.read_results(out))
+
+    @pytest.mark.parametrize("extra", [
+        ["--density-ratios", "0"], ["--density-ratios", "-0.5"],
+        ["--density-ratios", "1.5"], ["--density-ratios", "abc"],
+        ["--bins", "5"], ["--bins", "x:y"], ["--bins", "9:4"], ["--bins", "4:9,6:14"],
+        ["--density-ratios", "0.5", "--bins", "4:9"], ["--density-ratios", "0.5", "--oracle-gt"],
+    ], ids=lambda extra: "-".join(a.lstrip("-") for a in extra))
+    def test_bad_protocol_usage_error(self, dataset, pairs_file, checkpoint, tmp_path,
+                                      capsys, extra):
+        out_dir = tmp_path / "o"
+        out_dir.mkdir()
+        code = run(["evaluate", "--dataset", dataset, "--pairs", pairs_file,
+                    "--checkpoint", checkpoint, *extra, "--out", out_dir / "r.csv"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert list(out_dir.iterdir()) == []
+
     def test_checkpoint_required_without_oracle(self, dataset, pairs_file, tmp_path):
         assert run(["evaluate", "--dataset", dataset, "--pairs", pairs_file,
                     "--out", tmp_path / "r.csv"]) == 2
@@ -281,6 +340,12 @@ class TestBenchmark:
         ts = np.log(np.array([times[n] for n in sorted(times)]))
         exponent = np.polyfit(ns, ts, 1)[0]
         assert exponent < 1.3, f"encoder scaling exponent {exponent:.2f}"
+
+    def test_bad_sizes_usage_error(self, checkpoint, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert run(["benchmark", "--checkpoint", checkpoint, "--sizes", "x",
+                    "--out", out]) == 2
+        assert not out.exists()
 
     def test_zero_ransac_iterations_usage_error(self, checkpoint):
         assert run(["benchmark", "--checkpoint", checkpoint, "--sizes", "200",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -123,20 +125,20 @@ class TestDistillPairs:
         clouds = [rng.uniform(-5, 5, (100, 3)) for _ in range(4)]
         poses = [g.RigidTransform(np.eye(3), [k * 2.0, 0, 0]) for k in range(4)]
         seq = make_sequence(clouds, poses)
-        got = dio.distill_pairs(seq, seq, dio.PairSpec(0.0, 100.0, 1.0), tau=0.5)
-        assert got == [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        got = dio.distill_records(seq, seq, dio.PairSpec(0.0, 100.0, 1.0), tau=0.5)
+        assert [(r.i, r.j) for r in got] == [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
     def test_distance_exclusion(self, rng):
         cloud = rng.uniform(-5, 5, (50, 3))
         seq = make_sequence([cloud, cloud],
                             [g.RigidTransform.identity(), g.RigidTransform.identity()])
-        assert dio.distill_pairs(seq, seq, dio.PairSpec(5.0, 100.0, 1.0)) == []
+        assert dio.distill_records(seq, seq, dio.PairSpec(5.0, 100.0, 1.0)) == []
 
     def test_matches_brute_force_on_simulated_sequence(self, small_scene):
         _, _, seq = small_scene
         sub = dio.FrameSequence(seq.frames[:50])
         spec = dio.PairSpec(5.0, 30.0, 0.3)
-        got = set(dio.distill_pairs(sub, sub, spec, tau=0.5))
+        got = {(r.i, r.j) for r in dio.distill_records(sub, sub, spec, tau=0.5)}
         origins = sub.origins()
         expect = set()
         for a in range(len(sub)):
@@ -154,8 +156,8 @@ class TestDistillPairs:
         cloud = rng.uniform(-5, 5, (60, 3))
         seq_a = make_sequence([cloud], [g.RigidTransform.identity()])
         seq_b = make_sequence([cloud + 0.01], [g.RigidTransform(np.eye(3), [3.0, 0, 0])], start=0)
-        got = dio.distill_pairs(seq_a, seq_b, dio.PairSpec(0.0, 10.0, 1.0))
-        assert got == [(0, 0)]
+        got = dio.distill_records(seq_a, seq_b, dio.PairSpec(0.0, 10.0, 1.0))
+        assert [(r.i, r.j) for r in got] == [(0, 0)]
 
     def test_single_sequence_symmetry(self, small_scene):
         # each unordered pair appears once; the predicates are symmetric, so
@@ -163,7 +165,7 @@ class TestDistillPairs:
         _, _, seq = small_scene
         sub = dio.FrameSequence(seq.frames[:25])
         spec = dio.PairSpec(5.0, 20.0, 0.5)
-        got = dio.distill_pairs(sub, sub, spec, tau=0.5)
+        got = [(r.i, r.j) for r in dio.distill_records(sub, sub, spec, tau=0.5)]
         assert all(i < j for i, j in got)
         origins = sub.origins()
         for a in range(len(sub)):
@@ -200,6 +202,13 @@ class TestPairsFile:
         p = tmp_path / "pairs.csv"
         p.write_text("a,b\n")
         with pytest.raises(MalformedFile):
+            dio.read_pairs_file(p)
+
+    @pytest.mark.parametrize("row", ["0,1,abc,0.5", "0.5,1,12.0,0.5", "0,1,12.0"])
+    def test_bad_row_names_line(self, tmp_path, row):
+        p = tmp_path / "pairs.csv"
+        p.write_text(f"i,j,distance_m,overlap\n0,1,12.0,0.5\n{row}\n")
+        with pytest.raises(MalformedFile, match=re.escape(f"{p}:3: ")):
             dio.read_pairs_file(p)
 
 

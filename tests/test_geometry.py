@@ -114,24 +114,24 @@ class TestKabsch:
 
 class TestNeighborIndex:
     def test_single_point(self):
-        idx = g.build_index([[1.0, 2.0, 3.0]])
+        idx = g.NeighborIndex([[1.0, 2.0, 3.0]])
         d, i = idx.nearest([[0.0, 0.0, 0.0]])
         assert i[0] == 0
         np.testing.assert_allclose(d[0], np.sqrt(14.0))
 
     def test_query_at_indexed_point(self, rng):
         pts = rng.uniform(-5, 5, (30, 3))
-        d, i = g.build_index(pts).nearest(pts[7:8])
+        d, i = g.NeighborIndex(pts).nearest(pts[7:8])
         assert d[0] == 0.0 and i[0] == 7
 
     def test_empty_raises(self):
         with pytest.raises(EmptyCloud):
-            g.build_index(np.zeros((0, 3)))
+            g.NeighborIndex(np.zeros((0, 3)))
 
     def test_matches_brute_force(self, rng):
         pts = rng.uniform(-10, 10, (1000, 3))
         queries = rng.uniform(-10, 10, (100, 3))
-        d, i = g.build_index(pts).nearest(queries)
+        d, i = g.NeighborIndex(pts).nearest(queries)
         d2 = np.linalg.norm(queries[:, None, :] - pts[None, :, :], axis=2)
         np.testing.assert_array_equal(i, np.argmin(d2, axis=1))
         np.testing.assert_allclose(d, d2.min(axis=1), rtol=1e-12)
@@ -139,7 +139,7 @@ class TestNeighborIndex:
     def test_knearest_matches_brute_force(self, rng):
         pts = rng.uniform(-10, 10, (300, 3))
         queries = rng.uniform(-10, 10, (40, 3))
-        d, i = g.build_index(pts).knearest(queries, 5)
+        d, i = g.NeighborIndex(pts).knearest(queries, 5)
         d2 = np.linalg.norm(queries[:, None, :] - pts[None, :, :], axis=2)
         expect = np.argsort(d2, axis=1)[:, :5]
         np.testing.assert_array_equal(i, expect)

@@ -274,11 +274,20 @@ class TestCheckpoint:
         with pytest.raises(MalformedFile):
             mdl.load_checkpoint(p)
 
-    def test_truncation_detected(self, tmp_path):
+    # byte layout: magic 0-3, header 4-27, tensor count 28-31, then per
+    # tensor one ndim byte, ndim uint32 dims and the float64 data
+    @pytest.mark.parametrize("mangle", [
+        lambda b: b[:20],
+        lambda b: b[:30],
+        lambda b: b[:35],
+        lambda b: b[:300],
+        lambda b: b[:-1],
+        lambda b: b + b"\x00",
+    ], ids=["header", "tensor-count", "shape", "data", "last-byte", "trailing-byte"])
+    def test_truncation_detected(self, tmp_path, mangle):
         enc, dec = tiny_params(seed=5)
         p = tmp_path / "model.ckpt"
         mdl.save_checkpoint(p, enc, dec)
-        data = p.read_bytes()
-        p.write_bytes(data + b"\x00")
+        p.write_bytes(mangle(p.read_bytes()))
         with pytest.raises(MalformedFile):
             mdl.load_checkpoint(p)

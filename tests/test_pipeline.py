@@ -9,7 +9,7 @@ from distreg.dataio import PairSpec, distill_records
 from distreg.errors import NoPairs, NonFiniteLoss
 from distreg.geometry import Correspondences, apply_transform, random_transform
 from distreg.losses import LossConfig
-from distreg.register import NORMAL, RansacConfig
+from distreg.register import NORMAL, RansacConfig, registration_recall
 
 TINY_MODEL = mdl.ModelConfig(k=6, l=12, encoder_hidden=(8, 16), encoder_post_hidden=16,
                              phi=2, decoder_hidden=(32, 16), normalize=False)
@@ -250,17 +250,21 @@ class TestEvaluationPaths:
 
     def test_eval_distance_bins_reports_empty(self, toy_setup, trained):
         seq_a, seq_b, _ = toy_setup
-        out = pl.eval_distance_bins(
-            trained, seq_a, seq_b, [(8.0, 14.0), (100.0, 200.0)], NORMAL,
-            RansacConfig(iterations=100, inlier_threshold=0.3, seed=0),
-            input_voxel_size=0.5)
+        records = distill_records(seq_a, seq_b, PairSpec(8.0, 15.0, 1.0), 0.5)
+        results = pl.evaluate_pairs(seq_a, seq_b, records, trained,
+                                    RansacConfig(iterations=100, inlier_threshold=0.3, seed=0),
+                                    input_voxel_size=0.5)
+        out = pl.eval_distance_bins(results, [(8.0, 14.0), (100.0, 200.0)], NORMAL)
+        assert list(out) == [(8.0, 14.0), (100.0, 200.0)]
         assert out[(100.0, 200.0)]["rr"] is None
         assert out[(100.0, 200.0)]["n_pairs"] == 0
         assert out[(8.0, 14.0)]["n_pairs"] > 0
         assert 0.0 <= out[(8.0, 14.0)]["rr"] <= 1.0
         # per-bin counts equal an independent distillation recount
         recount = len(distill_records(seq_a, seq_b, PairSpec(8.0, 14.0, 1.0), 0.5))
-        assert out[(8.0, 14.0)]["n_pairs"] == recount
+        assert out[(8.0, 14.0)]["n_pairs"] == recount < len(results)
+        in_bin = [r for r in results if 8.0 <= r.distance <= 14.0]
+        assert out[(8.0, 14.0)]["rr"] == registration_recall(in_bin, NORMAL)
 
     def test_identical_frame_pairs_full_loose_recall(self, toy_setup, trained):
         seq_a, _, _ = toy_setup
@@ -270,22 +274,36 @@ class TestEvaluationPaths:
             input_voxel_size=0.5)
         assert float(np.mean([r.success["loose"] for r in results])) == 1.0
 
-    def test_eval_distance_bins_rejects_overlap(self, toy_setup, trained):
-        seq_a, seq_b, _ = toy_setup
+    def test_eval_distance_bins_rejects_overlap(self):
         with pytest.raises(ValueError):
-            pl.eval_distance_bins(trained, seq_a, seq_b, [(0.0, 10.0), (5.0, 15.0)], NORMAL,
-                                  RansacConfig(iterations=10, seed=0))
+            pl.eval_distance_bins([], [(0.0, 10.0), (5.0, 15.0)], NORMAL)
+
+    @pytest.mark.parametrize("bins", [[(9.0, 4.0)], [(5.0, 5.0)], [(-1.0, 4.0)],
+                                      [(4.0, 9.0), (6.0, 14.0)], [(4.0, 9.0), (4.0, 9.0)],
+                                      [(float("nan"), 4.0)]])
+    def test_check_distance_bins_rejects(self, bins):
+        with pytest.raises(ValueError):
+            pl.check_distance_bins(bins)
+
+    @pytest.mark.parametrize("ratio", [0.0, -0.5, 1.5, float("nan")])
+    def test_check_density_ratios_rejects(self, ratio):
+        with pytest.raises(ValueError):
+            pl.check_density_ratios([0.5, ratio])
 
     def test_eval_density_counts_and_identity_ratio(self, toy_setup, trained):
         seq_a, seq_b, pairs = toy_setup
         ransac = RansacConfig(iterations=150, inlier_threshold=0.3, seed=0)
-        out = pl.eval_density(trained, seq_a, seq_b, pairs[:3], [0.5, 1.0], NORMAL,
+        out = pl.eval_density(trained, seq_a, seq_b, pairs[:3], [0.5, 1.0],
                               ransac, seed=7, input_voxel_size=0.5)
         assert set(out) == {0.5, 1.0}
+        assert [len(v) for v in out.values()] == [3, 3]
         plain = pl.evaluate_pairs(seq_a, seq_b, pairs[:3], trained, ransac,
                                   input_voxel_size=0.5)
         rr_plain = float(np.mean([r.success["normal"] for r in plain]))
-        assert out[1.0] == rr_plain
+        assert registration_recall(out[1.0], NORMAL) == rr_plain
+        # the identity ratio registers the very same clouds
+        fields = [(r.i, r.j, r.rre, r.rte, r.success, r.inlier_count) for r in plain]
+        assert [(r.i, r.j, r.rre, r.rte, r.success, r.inlier_count) for r in out[1.0]] == fields
 
     def test_random_downsample_exact_count(self, rng):
         cloud = rng.uniform(-1, 1, (101, 3))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -269,6 +271,18 @@ class TestRecallAndExport:
         p = tmp_path / "results.csv"
         p.write_text("a,b\n1,2\n")
         with pytest.raises(MalformedFile):
+            reg.read_results(p)
+
+    @pytest.mark.parametrize("row", ["0,9,12.5,0.25,abc,0.3,1,1,0,42",
+                                     "0,9,12.5,0.25,0.8,0.3,1,1,x,42",
+                                     "0,9,12.5,0.25,0.8,0.3,1,1,0"])
+    def test_results_bad_row_names_line(self, tmp_path, row):
+        p = tmp_path / "results.csv"
+        reg.write_results(p, [reg.PairResult(0, 9, 12.5, 0.25, 0.8, 0.3,
+                                             {"loose": True, "normal": True, "strict": False},
+                                             42)])
+        p.write_text(p.read_text() + row + "\n")
+        with pytest.raises(MalformedFile, match=re.escape(f"{p}:3: ")):
             reg.read_results(p)
 
     def test_summary_aggregates(self):
