@@ -4,8 +4,9 @@ Configuration precedence is flags > config file > defaults. The config
 file is flat ``key=value`` text whose keys mirror the flag names; unknown
 keys are rejected.
 
-Exit codes: 0 success, 2 usage, 3 I/O, 4 empty-result guard, 5 numeric
-failure.
+Exit codes: 0 success, 2 usage, 3 I/O, 4 empty-result guard (also no
+training pairs or positives, and a cloud with fewer points than the
+model's ``k``), 5 numeric failure.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     NoPairs,
     NoPositives,
     NonRigidPose,
+    TooFewPoints,
 )
 from .losses import LossConfig
 
@@ -304,11 +306,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_distill(args) -> int:
+    with _usage_errors():
+        spec = dataio.PairSpec(args.d1, args.d2, args.max_overlap)
+        if not args.tau > 0:
+            raise ValueError("--tau must be positive")
     seq_a = dataio.load_dataset(_check_input(args.dataset, "dataset"))
     seq_b = seq_a if args.dataset_b is None else dataio.load_dataset(
         _check_input(args.dataset_b, "dataset-b"))
     out = _check_output_file(args.out, args.force)
-    spec = dataio.PairSpec(args.d1, args.d2, args.max_overlap)
     records = dataio.distill_records(seq_a, seq_b, spec, args.tau)
     if not records and args.require_nonempty:
         raise EmptyResultGuard("distillation produced zero pairs")
@@ -340,6 +345,12 @@ def _train_config(args) -> pipeline.TrainConfig:
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)
+    if args.curriculum:
+        with _usage_errors():
+            spec = pipeline.CurriculumSpec(
+                d2=args.curriculum_d2, overlap_max=args.max_overlap, tau=args.tau)
+    elif not args.pairs:
+        raise UsageError("--pairs is required unless --curriculum is set")
     seq_a = dataio.load_dataset(_check_input(args.dataset, "dataset"))
     seq_b = seq_a if args.dataset_b is None else dataio.load_dataset(
         _check_input(args.dataset_b, "dataset-b"))
@@ -347,16 +358,12 @@ def cmd_train(args) -> int:
     log_path = _check_output_file(args.log, args.force) if args.log else None
 
     if args.curriculum:
-        spec = pipeline.CurriculumSpec(
-            d2=args.curriculum_d2, overlap_max=args.max_overlap, tau=args.tau)
         enc, dec, logs = pipeline.train_curriculum(seq_a, seq_b, cfg, spec)
         log = pipeline.TrainLog(
             steps=[s for lg in logs for s in lg.steps],
             epochs=[e for lg in logs for e in lg.epochs],
         )
     else:
-        if not args.pairs:
-            raise UsageError("--pairs is required unless --curriculum is set")
         records = dataio.read_pairs_file(_check_input(args.pairs, "pairs file"))
         if not records:
             raise NoPairs("pairs file is empty")
@@ -373,7 +380,8 @@ def cmd_train(args) -> int:
 def _print_summary(records: list[register.PairResult]) -> None:
     summary = register.summarize_results(records)
     print(f"pairs evaluated: {summary['n_pairs']}")
-    print("criterion thresholds: loose (5,2) / normal (1.5,0.6) / strict (0.5,0.3)")
+    print("criterion thresholds: " + " / ".join(
+        f"{c.name} ({c.max_rre:g},{c.max_rte:g})" for c in register.CRITERIA))
     print("criterion,rr,mean_rre_success,mean_rte_success,mean_rre_all,mean_rte_all")
     for c in register.CRITERIA:
         e = summary[c.name]
@@ -455,6 +463,8 @@ def cmd_benchmark(args) -> int:
     if args.repeats < 1:
         raise UsageError("--repeats must be >= 1")
     enc, _ = mdl.load_checkpoint(_check_input(args.checkpoint, "checkpoint"))
+    if any(n < enc.k for n in sizes):
+        raise UsageError(f"--sizes entries must be >= the checkpoint's k ({enc.k})")
     rng = np.random.default_rng(args.seed)
     lines = ["stage,n,median_seconds"]
     for n in sizes:
@@ -509,7 +519,7 @@ def main(argv=None) -> int:
     except (CliIOError, OSError, MalformedFile, NonRigidPose) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (EmptyResultGuard, NoPairs, NoPositives, EmptyResults) as exc:
+    except (EmptyResultGuard, NoPairs, NoPositives, EmptyResults, TooFewPoints) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
     except (NonFiniteLoss, NonFinite) as exc:

@@ -29,6 +29,8 @@ _CHECKPOINT_VERSION = 1
 
 Gradients = dict[str, np.ndarray]
 
+_ENCODER_TENSORS = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -68,9 +70,13 @@ class EncoderParams:
     w4: np.ndarray  # (l, h3)
     b4: np.ndarray
 
+    @property
+    def layers(self) -> tuple[np.ndarray, ...]:
+        """Per-neighbor (w1..b2) then post-pool (w3..b4) tensors."""
+        return tuple(getattr(self, n) for n in _ENCODER_TENSORS)
+
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        return [(f"enc.{n}", getattr(self, n))
-                for n in ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")]
+        return [(f"enc.{n}", t) for n, t in zip(_ENCODER_TENSORS, self.layers)]
 
     def set_tensor(self, name: str, value: np.ndarray) -> None:
         setattr(self, name.removeprefix("enc."), value)
@@ -159,21 +165,106 @@ def _neighbor_indices(cloud: Points, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Shared blocks: a ReLU MLP and the pooled-neighborhood block
+# ---------------------------------------------------------------------------
+
+# per-neighbor activations per row block of the pooled block's inference path
+_BLOCK_ELEMENTS = 2_000_000
+
+
+def _mlp_forward(x: np.ndarray, layers) -> tuple[np.ndarray, list[np.ndarray]]:
+    """MLP over the last axis of ``x`` with flat (w, b, w, b, ...) layers and
+    ReLU between layers (none after the last); returns the output and the
+    input of every layer."""
+    inputs = []
+    for i in range(0, len(layers), 2):
+        if i:
+            x = _relu(x)
+        inputs.append(x)
+        x = x @ layers[i].T + layers[i + 1]
+    return x, inputs
+
+
+def _mlp_backward(layers, inputs, d: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Gradients of sum(d * output) for every tensor of ``layers`` (same
+    order) and for the MLP's input. Only the weight-gradient products and
+    the bias sums flatten the leading axes; ``d @ w`` keeps its shape."""
+    grads: list = [None] * len(layers)
+    for i in range(len(layers) - 2, -1, -2):
+        x = inputs[i // 2]
+        flat = d.reshape(-1, d.shape[-1])
+        grads[i] = flat.T @ x.reshape(-1, x.shape[-1])
+        grads[i + 1] = flat.sum(axis=0)
+        d = d @ layers[i]
+        if i:
+            d = d * (x > 0)
+    return grads, d
+
+
+@dataclass
+class PoolCache:
+    """What ``_pool_backward`` needs of one pooled-neighborhood block."""
+
+    idx: np.ndarray                # (N, k) neighbor indices
+    pre_inputs: list[np.ndarray]   # per-neighbor layer inputs: (N, k, d), (N, k, h1)
+    argmax: np.ndarray             # (N, h2) winning neighbor per channel
+    post_inputs: list[np.ndarray]  # post-pool layer inputs: z = [pooled, own] (N, 2*h2), (N, h3)
+
+
+def _pool_forward(idx, gather, own, layers, keep: bool):
+    """The block the encoder and the symmetric decoder share: the
+    per-neighbor MLP ``layers[:4]`` with ReLU after both layers over
+    ``gather(idx[rows], rows)`` (the (B, k, d) inputs of a row slice), a
+    channel max-pool over the k neighbors, the concat with the own path's
+    (N, h2) activations ``own``, and the post-pool MLP ``layers[4:]``.
+
+    With ``keep`` all rows run as one block and a PoolCache is returned.
+    Without it the per-neighbor stage runs in row blocks whose (B, k, h)
+    intermediates stay cache-resident at large N, with no argmax and no
+    cache; the post-pool MLP always runs once over all rows."""
+    pre, post = layers[:4], layers[4:]
+    n, k = idx.shape
+    if keep:
+        a2, pre_inputs = _mlp_forward(gather(idx, slice(None)), pre)
+        h2v = _relu(a2)
+        pooled = h2v.max(axis=1)
+        argmax = h2v.argmax(axis=1)
+    else:
+        pooled = np.empty(own.shape)
+        block = max(1, _BLOCK_ELEMENTS // (k * own.shape[1]))
+        for start in range(0, n, block):
+            rows = slice(start, start + block)
+            a2, _ = _mlp_forward(gather(idx[rows], rows), pre)
+            pooled[rows] = _relu(a2).max(axis=1)
+    out, post_inputs = _mlp_forward(np.concatenate([pooled, own], axis=1), post)
+    cache = PoolCache(idx, pre_inputs, argmax, post_inputs) if keep else None
+    return out, cache
+
+
+def _pool_backward(layers, cache: PoolCache, d: np.ndarray):
+    """Gradients of sum(d * out) for the block's eight tensors (in layer
+    order), for the per-neighbor inputs (N, k, d) and for ``own``."""
+    post_grads, dz = _mlp_backward(layers[4:], cache.post_inputs, d)
+    z = cache.post_inputs[0]
+    h2 = z.shape[1] // 2
+    # max-pool: route each channel's gradient to its winning neighbor, if
+    # that neighbor's activation (the pooled value) is positive
+    da2 = np.zeros((*cache.idx.shape, h2))
+    np.put_along_axis(da2, cache.argmax[:, None, :],
+                      (dz[:, :h2] * (z[:, :h2] > 0))[:, None, :], axis=1)
+    pre_grads, d_nbr = _mlp_backward(layers[:4], cache.pre_inputs, da2)
+    return pre_grads + post_grads, d_nbr, dz[:, h2:]
+
+
+# ---------------------------------------------------------------------------
 # Encoder
 # ---------------------------------------------------------------------------
 
 @dataclass
 class EncoderCache:
-    rel: np.ndarray        # (N, k, 3) relative neighbor coordinates
-    a1: np.ndarray         # (N, k, h1) pre-activation
-    h1v: np.ndarray        # (N, k, h1)
-    a2: np.ndarray         # (N, k, h2)
-    argmax: np.ndarray     # (N, h2) winning neighbor per channel
+    pool: PoolCache        # the pooled block over relative neighbor coordinates
     h1o: np.ndarray        # (h1,) own-path stage activations (zero input)
-    a2o: np.ndarray        # (h2,)
-    z: np.ndarray          # (N, 2*h2)
-    a3: np.ndarray         # (N, h3)
-    h3v: np.ndarray        # (N, h3)
+    h2o: np.ndarray        # (h2,)
     features: np.ndarray   # (N, l) final (possibly normalized)
     norms: np.ndarray      # (N,) clamped row norms (ones when not normalizing)
 
@@ -182,37 +273,11 @@ def _encoder_run(cloud, params: EncoderParams, keep: bool):
     pts = as_points(cloud, allow_empty=False)
     idx = _neighbor_indices(pts, params.k)
     n = pts.shape[0]
-    h2 = params.b2.size
-
-    if keep:
-        rel = pts[idx] - pts[:, None, :]
-        a1 = rel @ params.w1.T + params.b1
-        h1v = _relu(a1)
-        a2 = h1v @ params.w2.T + params.b2
-        h2v = _relu(a2)
-        pooled = h2v.max(axis=1)
-        argmax = h2v.argmax(axis=1)
-    else:
-        # inference path: block the per-neighbor stage so the (N, k, h)
-        # intermediates stay cache-resident at large N
-        rel = a1 = h1v = a2 = argmax = None
-        pooled = np.empty((n, h2))
-        block = max(1, int(2e6) // max(params.k * h2, 1))
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            rel_b = pts[idx[start:stop]] - pts[start:stop, None, :]
-            h1_b = _relu(rel_b @ params.w1.T + params.b1)
-            h2_b = _relu(h1_b @ params.w2.T + params.b2)
-            pooled[start:stop] = h2_b.max(axis=1)
 
     h1o = _relu(params.b1)                     # per-neighbor stage at the zero input
-    a2o = params.w2 @ h1o + params.b2
-    h2o = _relu(a2o)
-
-    z = np.concatenate([pooled, np.broadcast_to(h2o, (n, h2o.size))], axis=1)
-    a3 = z @ params.w3.T + params.b3
-    h3v = _relu(a3)
-    u = h3v @ params.w4.T + params.b4
+    h2o = _relu(params.w2 @ h1o + params.b2)
+    u, pool = _pool_forward(idx, lambda nbrs, rows: pts[nbrs] - pts[rows, None, :],
+                            np.broadcast_to(h2o, (n, h2o.size)), params.layers, keep)
 
     if params.normalize:
         norms = np.maximum(np.linalg.norm(u, axis=1), 1e-12)
@@ -220,11 +285,7 @@ def _encoder_run(cloud, params: EncoderParams, keep: bool):
     else:
         norms = np.ones(n)
         features = u
-
-    cache = None
-    if keep:
-        cache = EncoderCache(rel, a1, h1v, a2, argmax, h1o, a2o, z, a3, h3v, features, norms)
-    return features, cache
+    return features, EncoderCache(pool, h1o, h2o, features, norms) if keep else None
 
 
 def encoder_forward(cloud, params: EncoderParams) -> np.ndarray:
@@ -250,48 +311,14 @@ def encoder_backward(params: EncoderParams, cache: EncoderCache, d_features: np.
         du = (df - f * np.sum(f * df, axis=1, keepdims=True)) / cache.norms[:, None]
     else:
         du = df
-
-    g_w4 = du.T @ cache.h3v
-    g_b4 = du.sum(axis=0)
-    dh3 = du @ params.w4
-    da3 = dh3 * (cache.a3 > 0)
-    g_w3 = da3.T @ cache.z
-    g_b3 = da3.sum(axis=0)
-    dz = da3 @ params.w3
-
-    h2 = params.b2.size
-    dpooled = dz[:, :h2]
-    down = dz[:, h2:]
-
-    # max-pool: route each channel's gradient to its winning neighbor
-    n, k, _ = cache.a2.shape
-    dh2v = np.zeros((n, k, h2))
-    np.put_along_axis(dh2v, cache.argmax[:, None, :], dpooled[:, None, :], axis=1)
-    da2 = dh2v * (cache.a2 > 0)
-
-    flat_da2 = da2.reshape(-1, h2)
-    flat_h1v = cache.h1v.reshape(-1, cache.h1v.shape[2])
-    g_w2 = flat_da2.T @ flat_h1v
-    g_b2 = flat_da2.sum(axis=0)
-    dh1 = da2 @ params.w2
-    da1 = dh1 * (cache.a1 > 0)
-    flat_da1 = da1.reshape(-1, da1.shape[2])
-    g_w1 = flat_da1.T @ cache.rel.reshape(-1, 3)
-    g_b1 = flat_da1.sum(axis=0)
+    grads, _, down = _pool_backward(params.layers, cache.pool, du)
 
     # own-path (zero input): contributes to b1, w2, b2 only
-    da2o = down.sum(axis=0) * (cache.a2o > 0)
-    g_w2 += np.outer(da2o, cache.h1o)
-    g_b2 += da2o
-    da1o = (params.w2.T @ da2o) * (params.b1 > 0)
-    g_b1 += da1o
-
-    return {
-        "enc.w1": g_w1, "enc.b1": g_b1,
-        "enc.w2": g_w2, "enc.b2": g_b2,
-        "enc.w3": g_w3, "enc.b3": g_b3,
-        "enc.w4": g_w4, "enc.b4": g_b4,
-    }
+    da2o = down.sum(axis=0) * (cache.h2o > 0)
+    grads[2] += np.outer(da2o, cache.h1o)
+    grads[3] += da2o
+    grads[1] += (params.w2.T @ da2o) * (params.b1 > 0)
+    return {f"enc.{name}": g for name, g in zip(_ENCODER_TENSORS, grads)}
 
 
 # ---------------------------------------------------------------------------
@@ -300,76 +327,15 @@ def encoder_backward(params: EncoderParams, cache: EncoderCache, d_features: np.
 
 @dataclass
 class DecoderCache:
-    variant: str
-    activations: list[np.ndarray]   # asymmetric: inputs to each layer
-    preacts: list[np.ndarray]       # asymmetric: pre-activations of hidden layers
-    sym: dict | None = None         # symmetric: mirrored-stage intermediates
-    n_points: int = 0
+    inputs: list[np.ndarray]  # layer inputs of the row-wise MLP: the asymmetric decoder,
+                              # or the symmetric decoder's own path
+    pool: PoolCache | None    # the symmetric decoder's pooled block
+    n_points: int
 
 
 def _assert_feature_width(fm: np.ndarray, expected: int) -> None:
     if fm.ndim != 2 or fm.shape[1] != expected:
         raise ShapeMismatch(f"feature map has shape {fm.shape}, expected (N, {expected})")
-
-
-def _decoder_forward_asym(fm, params, keep):
-    layers = params.layers
-    _assert_feature_width(fm, layers[0].shape[1])
-    x = fm
-    activations = [x]
-    preacts = []
-    n_linear = len(layers) // 2
-    for li in range(n_linear):
-        w, b = layers[2 * li], layers[2 * li + 1]
-        a = x @ w.T + b
-        if li < n_linear - 1:
-            preacts.append(a)
-            x = _relu(a)
-            activations.append(x)
-        else:
-            x = a
-    out = x.reshape(fm.shape[0], params.phi, 3)
-    cache = DecoderCache("asymmetric", activations, preacts, n_points=fm.shape[0]) if keep else None
-    return out, cache
-
-
-def _decoder_forward_sym(fm, params, cloud, keep):
-    if cloud is None:
-        raise ShapeMismatch("symmetric decoder requires the source cloud")
-    v1, c1, v2, c2, v3, c3, v4, c4 = params.layers
-    _assert_feature_width(fm, v1.shape[1])
-    pts = as_points(cloud, allow_empty=False)
-    if pts.shape[0] != fm.shape[0]:
-        raise ShapeMismatch("feature map rows must match cloud points")
-    idx = _neighbor_indices(pts, params.k)
-
-    nbr = fm[idx]                              # (N, k, l)
-    a1 = nbr @ v1.T + c1
-    h1v = _relu(a1)
-    a2 = h1v @ v2.T + c2
-    h2v = _relu(a2)
-    pooled = h2v.max(axis=1)
-    argmax = h2v.argmax(axis=1)
-
-    a1o = fm @ v1.T + c1                       # own path: the point's own feature
-    h1o = _relu(a1o)
-    a2o = h1o @ v2.T + c2
-    h2o = _relu(a2o)
-
-    z = np.concatenate([pooled, h2o], axis=1)
-    a3 = z @ v3.T + c3
-    h3v = _relu(a3)
-    out = (h3v @ v4.T + c4).reshape(fm.shape[0], params.phi, 3)
-
-    cache = None
-    if keep:
-        cache = DecoderCache(
-            "symmetric", [], [],
-            sym=dict(idx=idx, fm=fm, nbr=nbr, a1=a1, h1v=h1v, a2=a2, argmax=argmax,
-                     a1o=a1o, h1o=h1o, a2o=a2o, z=z, a3=a3, h3v=h3v),
-            n_points=fm.shape[0],
-        )
-    return out, cache
 
 
 def decoder_forward(fm, params: DecoderParams, cloud=None) -> np.ndarray:
@@ -380,81 +346,53 @@ def decoder_forward(fm, params: DecoderParams, cloud=None) -> np.ndarray:
 
 
 def decoder_forward_cached(fm, params: DecoderParams, cloud=None, keep: bool = True):
+    """The asymmetric variant is a row-wise MLP; the symmetric one is the
+    pooled block over the feature map's neighborhoods, with each point's
+    own feature through the per-neighbor stage as the own path."""
     fm = np.asarray(fm, dtype=np.float64)
+    _assert_feature_width(fm, params.layers[0].shape[1])
+    pool = None
     if params.variant == "asymmetric":
-        return _decoder_forward_asym(fm, params, keep)
-    return _decoder_forward_sym(fm, params, cloud, keep)
+        out, inputs = _mlp_forward(fm, params.layers)
+    else:
+        if cloud is None:
+            raise ShapeMismatch("symmetric decoder requires the source cloud")
+        pts = as_points(cloud, allow_empty=False)
+        if pts.shape[0] != fm.shape[0]:
+            raise ShapeMismatch("feature map rows must match cloud points")
+        idx = _neighbor_indices(pts, params.k)
+        a2o, inputs = _mlp_forward(fm, params.layers[:4])
+        out, pool = _pool_forward(idx, lambda nbrs, rows: fm[nbrs], _relu(a2o),
+                                  params.layers, keep)
+    cache = DecoderCache(inputs, pool, fm.shape[0]) if keep else None
+    return out.reshape(fm.shape[0], params.phi, 3), cache
 
 
 def decoder_backward(
     params: DecoderParams, cache: DecoderCache, d_offsets: np.ndarray
 ) -> tuple[Gradients, np.ndarray]:
-    """Gradients w.r.t. decoder tensors plus the feature-map gradient."""
+    """Gradients w.r.t. decoder tensors plus the feature-map gradient.
+
+    The key order is the order in which ``pipeline.clip_gradients`` sums
+    the global norm, so it is part of every trained checkpoint's bytes."""
     if cache is None:
         raise MissingCache("decoder backward requires the forward cache")
     dout = np.asarray(d_offsets, dtype=np.float64).reshape(cache.n_points, -1)
 
-    grads: Gradients = {}
     if params.variant == "asymmetric":
-        layers = params.layers
-        n_linear = len(layers) // 2
-        d = dout
-        for li in range(n_linear - 1, -1, -1):
-            w = layers[2 * li]
-            x = cache.activations[li]
-            grads[f"dec.t{2 * li}"] = d.T @ x
-            grads[f"dec.t{2 * li + 1}"] = d.sum(axis=0)
-            d = d @ w
-            if li > 0:
-                d = d * (cache.preacts[li - 1] > 0)
-        return grads, d
+        grads, dfm = _mlp_backward(params.layers, cache.inputs, dout)
+        last_first = [j for i in range(len(grads) - 2, -1, -2) for j in (i, i + 1)]
+        return {f"dec.t{j}": grads[j] for j in last_first}, dfm
 
-    v1, c1, v2, c2, v3, c3, v4, c4 = params.layers
-    s = cache.sym
-    g_v4 = dout.T @ s["h3v"]
-    g_c4 = dout.sum(axis=0)
-    dh3 = dout @ v4
-    da3 = dh3 * (s["a3"] > 0)
-    g_v3 = da3.T @ s["z"]
-    g_c3 = da3.sum(axis=0)
-    dz = da3 @ v3
-
-    h2 = c2.size
-    dpooled = dz[:, :h2]
-    down = dz[:, h2:]
-
-    n, k, _ = s["a2"].shape
-    dh2v = np.zeros((n, k, h2))
-    np.put_along_axis(dh2v, s["argmax"][:, None, :], dpooled[:, None, :], axis=1)
-    da2 = dh2v * (s["a2"] > 0)
-    flat_da2 = da2.reshape(-1, h2)
-    g_v2 = flat_da2.T @ s["h1v"].reshape(-1, s["h1v"].shape[2])
-    g_c2 = flat_da2.sum(axis=0)
-    dh1 = da2 @ v2
-    da1 = dh1 * (s["a1"] > 0)
-    flat_da1 = da1.reshape(-1, da1.shape[2])
-    g_v1 = flat_da1.T @ s["nbr"].reshape(-1, s["nbr"].shape[2])
-    g_c1 = flat_da1.sum(axis=0)
-
-    da2o = down * (s["a2o"] > 0)
-    g_v2 += da2o.T @ s["h1o"]
-    g_c2 += da2o.sum(axis=0)
-    dh1o = da2o @ v2
-    da1o = dh1o * (s["a1o"] > 0)
-    g_v1 += da1o.T @ s["fm"]
-    g_c1 += da1o.sum(axis=0)
-
-    dfm = np.zeros(s["fm"].shape)
-    np.add.at(dfm, s["idx"].reshape(-1), (da1 @ v1).reshape(-1, v1.shape[1]))
-    dfm += da1o @ v1
-
-    grads = {
-        "dec.t0": g_v1, "dec.t1": g_c1,
-        "dec.t2": g_v2, "dec.t3": g_c2,
-        "dec.t4": g_v3, "dec.t5": g_c3,
-        "dec.t6": g_v4, "dec.t7": g_c4,
-    }
-    return grads, dfm
+    grads, d_nbr, down = _pool_backward(params.layers, cache.pool, dout)
+    own = cache.pool.post_inputs[0][:, down.shape[1]:]
+    own_grads, d_own = _mlp_backward(params.layers[:4], cache.inputs, down * (own > 0))
+    for j, g in enumerate(own_grads):
+        grads[j] += g
+    dfm = np.zeros(cache.inputs[0].shape)
+    np.add.at(dfm, cache.pool.idx.reshape(-1), d_nbr.reshape(-1, dfm.shape[1]))
+    dfm += d_own
+    return {f"dec.t{j}": g for j, g in enumerate(grads)}, dfm
 
 
 # ---------------------------------------------------------------------------

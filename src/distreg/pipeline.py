@@ -95,9 +95,9 @@ class CurriculumSpec:
     tau: float = 0.5
 
     def __post_init__(self):
-        lo, hi = self.pretrain_bin
-        if not 0 <= lo < hi:
-            raise ValueError("invalid pretrain bin")
+        if not self.tau > 0:
+            raise ValueError("tau must be positive")
+        self.pair_specs()  # rejects a bad bin or overlap cap
 
     @property
     def finetune_active(self) -> bool:
@@ -106,6 +106,12 @@ class CurriculumSpec:
     @property
     def finetune_bin(self) -> tuple[float, float]:
         return (self.pretrain_bin[0], self.d2)
+
+    def pair_specs(self) -> list[PairSpec]:
+        """The pre-training phase's pair selection, then the finetuning
+        phase's when it is active."""
+        bins = [self.pretrain_bin] + ([self.finetune_bin] if self.finetune_active else [])
+        return [PairSpec(*b, self.overlap_max) for b in bins]
 
 
 @dataclass(frozen=True)
@@ -226,10 +232,11 @@ def pair_loss_and_grads(
     run_decoder = cfg.lambda1 > 0 or cfg.lambda2 > 0
     l_cd = 0.0
     l_l2 = 0.0
-    grads: mdl.Gradients | None = None
-    if run_decoder:
-        per_cloud = []
-        for cloud, feats, apc in ((cloud_a, fa, apc_a), (cloud_b, fb, apc_b)):
+    grads: mdl.Gradients = {}
+    for cloud, feats, apc, cache, d_f in ((cloud_a, fa, apc_a, cache_a, d_fa),
+                                          (cloud_b, fb, apc_b, cache_b, d_fb)):
+        dec_cache = d_off = None
+        if run_decoder:
             offsets, dec_cache = mdl.decoder_forward_cached(feats, dec, cloud=cloud)
             recon = mdl.fuse(cloud, offsets)
             cd, d_recon = chamfer(recon.points, apc)
@@ -237,14 +244,7 @@ def pair_loss_and_grads(
             l_cd += cd
             l_l2 += reg
             d_off = cfg.lambda1 * d_recon.reshape(offsets.shape) + cfg.lambda2 * d_reg
-            per_cloud.append((dec_cache, d_off))
-        g_a = mdl.backward(enc, cache_a, d_fa, dec, per_cloud[0][0], per_cloud[0][1])
-        g_b = mdl.backward(enc, cache_b, d_fb, dec, per_cloud[1][0], per_cloud[1][1])
-        grads = mdl.add_gradients(g_a, g_b)
-    else:
-        g_a = mdl.backward(enc, cache_a, d_fa, dec_params=dec)
-        g_b = mdl.backward(enc, cache_b, d_fb, dec_params=dec)
-        grads = mdl.add_gradients(g_a, g_b)
+        grads = mdl.add_gradients(grads, mdl.backward(enc, cache, d_f, dec, dec_cache, d_off))
 
     report = total_loss(l_ml, l_cd, l_l2, cfg)
     return report, grads
@@ -303,7 +303,7 @@ def train(
         enc, dec = mdl.init_params(cfg.seed, cfg.model)
 
     contexts = {(i, j): _build_pair_context(seq_a, seq_b, i, j, cfg) for i, j in pairs}
-    apc_cache: dict[tuple[int, int, int], Points] = {}
+    apc_cache: dict[tuple[int, int], Points] = {}
 
     def apc_for(seq, which, key_index, cloud, step):
         if cfg.n_disturb > 0:
@@ -313,7 +313,7 @@ def train(
             disturb = DisturbConfig(min(cfg.n_disturb, available),
                                     seed=[cfg.seed, _TAG_DISTURB, step])
             return reachable_target(generate_apc(seq, key_index, cfg.apg, disturb), cloud)
-        cache_key = (which, key_index, 0)
+        cache_key = (which, key_index)
         if cache_key not in apc_cache:
             apc_cache[cache_key] = reachable_target(generate_apc(seq, key_index, cfg.apg), cloud)
         return apc_cache[cache_key]
@@ -370,16 +370,12 @@ def train_curriculum(
 ) -> tuple[mdl.EncoderParams, mdl.DecoderParams, list[TrainLog]]:
     """Pre-train on the near bin, then (for d2 >= 30) continue from the
     resulting parameters on the widened bin."""
-    pre_pairs = distill_records(
-        seq_a, seq_b, PairSpec(*spec.pretrain_bin, spec.overlap_max), spec.tau)
-    enc, dec, log0 = train(seq_a, seq_b, [(r.i, r.j) for r in pre_pairs], cfg)
-    logs = [log0]
-    if spec.finetune_active:
-        fine_pairs = distill_records(
-            seq_a, seq_b, PairSpec(*spec.finetune_bin, spec.overlap_max), spec.tau)
-        enc, dec, log1 = train(
-            seq_a, seq_b, [(r.i, r.j) for r in fine_pairs], cfg, init=(enc, dec))
-        logs.append(log1)
+    init, logs = None, []
+    for pair_spec in spec.pair_specs():
+        records = distill_records(seq_a, seq_b, pair_spec, spec.tau)
+        enc, dec, log = train(seq_a, seq_b, [(r.i, r.j) for r in records], cfg, init=init)
+        init = (enc, dec)
+        logs.append(log)
     return enc, dec, logs
 
 

@@ -115,6 +115,16 @@ class TestDistill:
         assert run(["distill", "--dataset", tmp_path / "nope", "--out",
                     tmp_path / "p.csv"]) == 3
 
+    @pytest.mark.parametrize("flags", [["--d1", 5, "--d2", 4], ["--tau", 0],
+                                       ["--max-overlap", 0]])
+    def test_bad_spec_usage_error(self, tmp_path, capsys, flags):
+        # rejected before the dataset is read: the dataset does not exist
+        out = tmp_path / "p.csv"
+        assert run(["distill", "--dataset", tmp_path / "nope", *flags, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_config_file_defaults_and_flag_precedence(self, dataset, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# distillation bin\nd1=4\nd2=9\nmax-overlap=1.0\n")
@@ -184,6 +194,23 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--max-overlap", 0], ["--tau", 0],
+                                       ["--tau", -1, "--curriculum-d2", 40]])
+    def test_bad_curriculum_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.ckpt"
+        assert run(["train", "--dataset", tmp_path / "nope", "--curriculum", *flags,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_k_above_cloud_size_exit_4(self, dataset, pairs_file, tmp_path, capsys):
+        out = tmp_path / "x.ckpt"
+        assert run(["train", "--dataset", dataset, "--pairs", pairs_file, "--epochs", 1,
+                    "--k", 100000, "--out", out]) == 4
+        assert capsys.readouterr().err.startswith("error: cloud has ")
+        assert not out.exists()
+
     def test_curriculum_mode(self, dataset, tmp_path):
         code = run(["train", "--dataset", dataset, "--curriculum",
                     "--curriculum-d2", 12, "--out", tmp_path / "cur.ckpt",
@@ -201,7 +228,8 @@ class TestEvaluate:
                     "--oracle-gt", "--out", out])
         assert code == 0
         printed = capsys.readouterr().out
-        assert "(5,2)" in printed and "(1.5,0.6)" in printed and "(0.5,0.3)" in printed
+        assert ("criterion thresholds: loose (5,2) / normal (1.5,0.6) / strict (0.5,0.3)"
+                in printed.splitlines())
         records = reg.read_results(out)
         assert records
         assert all(r.success["loose"] and r.success["normal"] and r.success["strict"]
@@ -345,6 +373,13 @@ class TestBenchmark:
         out = tmp_path / "bench.csv"
         assert run(["benchmark", "--checkpoint", checkpoint, "--sizes", "x",
                     "--out", out]) == 2
+        assert not out.exists()
+
+    def test_sizes_below_k_usage_error(self, checkpoint, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert run(["benchmark", "--checkpoint", checkpoint, "--sizes", "200,5",
+                    "--repeats", 1, "--out", out]) == 2
+        assert "k (6)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_ransac_iterations_usage_error(self, checkpoint):

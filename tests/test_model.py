@@ -100,6 +100,15 @@ class TestEncoderForward:
         np.testing.assert_array_equal(
             mdl.encoder_forward(cloud, enc), mdl.encoder_forward(cloud, enc))
 
+    def test_row_blocked_matches_cached(self, rng):
+        # the inference path runs the per-neighbor stage in row blocks; the
+        # training path runs every row at once
+        enc, _ = tiny_params(randomize=6)
+        rows_per_block = mdl._BLOCK_ELEMENTS // (TINY.k * TINY.encoder_hidden[1])
+        cloud = rng.uniform(-20, 20, (2 * rows_per_block + 7, 3))
+        cached, _ = mdl.encoder_forward_cached(cloud, enc)
+        assert mdl.encoder_forward(cloud, enc).tobytes() == cached.tobytes()
+
 
 class TestDecoderForward:
     def test_zero_params_zero_offsets(self, rng):

@@ -196,7 +196,7 @@ class TestFirstSteps:
 
         def alive(e):
             _, cache = mdl.encoder_forward_cached(cloud, e)
-            return int(np.count_nonzero((cache.a3 > 0).any(axis=0)))
+            return int(np.count_nonzero((cache.pool.post_inputs[1] > 0).any(axis=0)))
 
         assert alive(enc) >= 0.75 * alive(enc0)
 
