@@ -1,6 +1,6 @@
 #!/bin/sh
 # End-to-end CLI walkthrough: simulate two vehicles through one world,
-# distill low-overlap pairs, train, evaluate, and benchmark.
+# distill low-overlap pairs, train and evaluate.
 set -e
 
 OUT=${1:-/tmp/distreg-demo}
@@ -32,9 +32,5 @@ distreg evaluate --checkpoint "$OUT/model.ckpt" \
     --dataset "$OUT/vehicle_a" --dataset-b "$OUT/vehicle_b" \
     --pairs "$OUT/pairs.csv" --ransac-iterations 2000 --input-voxel-size 0.4 \
     --out "$OUT/results.csv" --force
-
-# Where does online time go?
-distreg benchmark --checkpoint "$OUT/model.ckpt" --sizes 500,1000 --repeats 3 \
-    --out "$OUT/bench.csv" --force
 
 echo "outputs in $OUT"

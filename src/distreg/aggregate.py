@@ -142,10 +142,3 @@ def apc_coverage_gain(key_frame_cropped, apc, tau: float) -> float:
         raise ValueError("tau must be positive")
     d, _ = NeighborIndex(key).nearest(agg)
     return float(np.count_nonzero(d > tau)) / agg.shape[0]
-
-
-def dump_apc(path, apc) -> None:
-    """Debug dump of an aggregate to the binary point format for external viewers."""
-    from .dataio import write_kitti_bin
-
-    write_kitti_bin(path, apc)

@@ -1,12 +1,13 @@
-"""Command-line front end: simulate, distill, train, evaluate, benchmark.
+"""Command-line front end: simulate, distill, train, evaluate.
 
 Configuration precedence is flags > config file > defaults. The config
 file is flat ``key=value`` text whose keys mirror the flag names; unknown
 keys are rejected.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 empty-result guard (also no
-training pairs or positives, and a cloud with fewer points than the
-model's ``k``), 5 numeric failure.
+training pairs or positives, a cloud with fewer points than the model's
+``k``, and an evaluated pair with too few feature matches for RANSAC),
+5 numeric failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -31,6 +31,7 @@ from .errors import (
     NoPairs,
     NoPositives,
     NonRigidPose,
+    TooFewCorrespondences,
     TooFewPoints,
 )
 from .losses import LossConfig
@@ -152,18 +153,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_common_out(p)
     p.set_defaults(func=cmd_evaluate)
     commands["evaluate"] = p
-
-    p = sub.add_parser("benchmark", help="time the online stages")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--sizes", default="1000,4000,16000")
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ransac-iterations", type=int, default=1000)
-    p.add_argument("--out", default=None)
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_benchmark)
-    commands["benchmark"] = p
 
     return parser, commands
 
@@ -456,46 +445,6 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_benchmark(args) -> int:
-    with _usage_errors():
-        ransac = register.RansacConfig(iterations=args.ransac_iterations, seed=args.seed)
-        sizes = _parse_list("--sizes", args.sizes, int)
-    if args.repeats < 1:
-        raise UsageError("--repeats must be >= 1")
-    enc, _ = mdl.load_checkpoint(_check_input(args.checkpoint, "checkpoint"))
-    if any(n < enc.k for n in sizes):
-        raise UsageError(f"--sizes entries must be >= the checkpoint's k ({enc.k})")
-    rng = np.random.default_rng(args.seed)
-    lines = ["stage,n,median_seconds"]
-    for n in sizes:
-        cloud_a = rng.uniform(-40, 40, size=(n, 3))
-        cloud_b = rng.uniform(-40, 40, size=(n, 3))
-        mdl.encoder_forward(cloud_a, enc)  # warm caches/allocator before timing
-        t_enc, t_match, t_ransac = [], [], []
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            fa = mdl.encoder_forward(cloud_a, enc)
-            t_enc.append(time.perf_counter() - t0)
-            fb = mdl.encoder_forward(cloud_b, enc)
-            t0 = time.perf_counter()
-            corr = register.match_features(fa, fb)
-            t_match.append(time.perf_counter() - t0)
-            if len(corr) >= 3:
-                t0 = time.perf_counter()
-                register.ransac_register(corr, cloud_a, cloud_b, ransac)
-                t_ransac.append(time.perf_counter() - t0)
-        lines.append(f"encoder,{n},{float(np.median(t_enc)):.6f}")
-        lines.append(f"matching,{n},{float(np.median(t_match)):.6f}")
-        if t_ransac:
-            lines.append(f"ransac,{n},{float(np.median(t_ransac)):.6f}")
-    report = "\n".join(lines)
-    print(report)
-    if args.out:
-        out = _check_output_file(args.out, args.force)
-        _atomic_replace(lambda tmp: Path(tmp).write_text(report + "\n"), out)
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
@@ -519,7 +468,8 @@ def main(argv=None) -> int:
     except (CliIOError, OSError, MalformedFile, NonRigidPose) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (EmptyResultGuard, NoPairs, NoPositives, EmptyResults, TooFewPoints) as exc:
+    except (EmptyResultGuard, NoPairs, NoPositives, EmptyResults, TooFewPoints,
+            TooFewCorrespondences) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
     except (NonFiniteLoss, NonFinite) as exc:

@@ -66,11 +66,6 @@ class RigidTransform:
     def identity() -> "RigidTransform":
         return RigidTransform(np.eye(3), np.zeros(3))
 
-    @staticmethod
-    def from_matrix34(m: np.ndarray) -> "RigidTransform":
-        m = np.asarray(m, dtype=np.float64).reshape(3, 4)
-        return RigidTransform(m[:, :3], m[:, 3])
-
     def matrix34(self) -> np.ndarray:
         return np.hstack([self.rotation, self.translation.reshape(3, 1)])
 

@@ -262,8 +262,6 @@ class _PairContext:
     cloud_b: Points
     gt: RigidTransform
     gt_pairs: Correspondences
-    key_a: int
-    key_b: int
 
 
 def _build_pair_context(seq_a, seq_b, i, j, cfg: TrainConfig) -> _PairContext:
@@ -275,7 +273,7 @@ def _build_pair_context(seq_a, seq_b, i, j, cfg: TrainConfig) -> _PairContext:
     cb = _prepare_cloud(fb.cloud[np.linalg.norm(fb.cloud, axis=1) <= r], cfg.input_voxel_size)
     gt = relative_gt(fa, fb)
     pairs = gt_correspondences(ca, cb, gt, cfg.gt_corr_radius)
-    return _PairContext(ca, cb, gt, pairs, i, j)
+    return _PairContext(ca, cb, gt, pairs)
 
 
 def train(

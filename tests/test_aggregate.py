@@ -167,11 +167,3 @@ class TestCoverageGain:
     def test_empty_raises(self, rng):
         with pytest.raises(EmptyCloud):
             agg.apc_coverage_gain(np.zeros((0, 3)), rng.uniform(-1, 1, (5, 3)), 0.3)
-
-
-class TestDump:
-    def test_dump_round_trip(self, tmp_path, rng):
-        from distreg.dataio import load_kitti_bin
-        apc = rng.uniform(-10, 10, (50, 3)).astype(np.float32).astype(np.float64)
-        agg.dump_apc(tmp_path / "apc.bin", apc)
-        np.testing.assert_array_equal(load_kitti_bin(tmp_path / "apc.bin"), apc)

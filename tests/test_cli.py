@@ -330,61 +330,18 @@ class TestEvaluate:
                     "--checkpoint", checkpoint, flag, value, "--out", out]) == 2
         assert not out.exists()
 
+    def test_too_few_matches_exit_4(self, dataset, pairs_file, checkpoint, tmp_path, capsys):
+        # 8 m input voxels leave some pair with fewer than 3 mutual matches
+        out = tmp_path / "r.csv"
+        assert run(["evaluate", "--dataset", dataset, "--pairs", pairs_file,
+                    "--checkpoint", checkpoint, "--ransac-iterations", 200,
+                    "--input-voxel-size", 8, "--out", out]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: need >= 3 correspondences")
+        assert not out.exists()
+
     def test_empty_pairs_exit_4(self, dataset, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("i,j,distance_m,overlap\n")
         assert run(["evaluate", "--dataset", dataset, "--pairs", empty,
                     "--oracle-gt", "--out", tmp_path / "r.csv"]) == 4
-
-
-class TestBenchmark:
-    def test_report_schema_and_positive_timings(self, checkpoint, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        code = run(["benchmark", "--checkpoint", checkpoint, "--sizes", "200,400",
-                    "--repeats", 2, "--ransac-iterations", 50, "--out", out])
-        assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "stage,n,median_seconds"
-        stages = {l.split(",")[0] for l in lines[1:]}
-        assert {"encoder", "matching"} <= stages
-        for line in lines[1:]:
-            assert float(line.split(",")[2]) > 0
-
-    def test_encoder_scaling_subquadratic(self, checkpoint, tmp_path):
-        # empirical complexity across a 16x size range: fitted exponent
-        # stays close to the N log N of the kNN stage
-        out = tmp_path / "bench.csv"
-        code = run(["benchmark", "--checkpoint", checkpoint,
-                    "--sizes", "1000,4000,16000", "--repeats", 5,
-                    "--ransac-iterations", 50, "--out", out])
-        assert code == 0
-        times = {}
-        for line in out.read_text().splitlines()[1:]:
-            stage, n, sec = line.split(",")
-            if stage == "encoder":
-                times[int(n)] = float(sec)
-        assert set(times) == {1000, 4000, 16000}
-        ns = np.log(np.array(sorted(times)))
-        ts = np.log(np.array([times[n] for n in sorted(times)]))
-        exponent = np.polyfit(ns, ts, 1)[0]
-        assert exponent < 1.3, f"encoder scaling exponent {exponent:.2f}"
-
-    def test_bad_sizes_usage_error(self, checkpoint, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert run(["benchmark", "--checkpoint", checkpoint, "--sizes", "x",
-                    "--out", out]) == 2
-        assert not out.exists()
-
-    def test_sizes_below_k_usage_error(self, checkpoint, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        assert run(["benchmark", "--checkpoint", checkpoint, "--sizes", "200,5",
-                    "--repeats", 1, "--out", out]) == 2
-        assert "k (6)" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_zero_ransac_iterations_usage_error(self, checkpoint):
-        assert run(["benchmark", "--checkpoint", checkpoint, "--sizes", "200",
-                    "--repeats", 1, "--ransac-iterations", 0]) == 2
-
-    def test_missing_checkpoint_exit_3(self, tmp_path):
-        assert run(["benchmark", "--checkpoint", tmp_path / "none.ckpt"]) == 3

@@ -1,4 +1,5 @@
 import copy
+import time
 
 import numpy as np
 import pytest
@@ -108,6 +109,24 @@ class TestEncoderForward:
         cloud = rng.uniform(-20, 20, (2 * rows_per_block + 7, 3))
         cached, _ = mdl.encoder_forward_cached(cloud, enc)
         assert mdl.encoder_forward(cloud, enc).tobytes() == cached.tobytes()
+
+    def test_scaling_subquadratic(self, rng):
+        # empirical complexity across a 16x size range: the fitted exponent
+        # stays close to the N log N of the kNN stage
+        enc, _ = mdl.init_params(0, mdl.ModelConfig(k=6, l=12, phi=2, decoder_hidden=(32, 16)))
+        sizes = (1000, 4000, 16000)
+        times = []
+        for n in sizes:
+            cloud = rng.uniform(-40, 40, size=(n, 3))
+            mdl.encoder_forward(cloud, enc)  # warm caches and the allocator
+            repeats = []
+            for _ in range(5):
+                t0 = time.perf_counter()
+                mdl.encoder_forward(cloud, enc)
+                repeats.append(time.perf_counter() - t0)
+            times.append(np.median(repeats))
+        exponent = np.polyfit(np.log(sizes), np.log(times), 1)[0]
+        assert exponent < 1.3, f"encoder scaling exponent {exponent:.2f}"
 
 
 class TestDecoderForward:
