@@ -138,7 +138,7 @@ def apc_coverage_gain(key_frame_cropped, apc, tau: float) -> float:
     point: geometry present in the target but absent from the input."""
     key = as_points(key_frame_cropped, allow_empty=False)
     agg = as_points(apc, allow_empty=False)
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
     d, _ = NeighborIndex(key).nearest(agg)
     return float(np.count_nonzero(d > tau)) / agg.shape[0]

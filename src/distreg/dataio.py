@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MalformedFile, NonRigidPose
-from .geometry import Points, RigidTransform, as_points, overlap_ratio
+from .geometry import NeighborIndex, Points, RigidTransform, as_points, overlap_ratio
 
 _POSE_REPAIR_TOL = 1e-3
 
@@ -148,8 +148,12 @@ def distill_records(
 
     ``seq_a is seq_b`` treats temporally separated frames of one sequence
     as the two vehicles; each unordered pair is emitted once (i < j).
+    Each frame's cloud is indexed once, and every overlap test of that
+    frame queries the same index.
     """
     same = seq_a is seq_b
+    index_a = [NeighborIndex(f.cloud) for f in seq_a]
+    index_b = index_a if same else [NeighborIndex(f.cloud) for f in seq_b]
     origins_a = seq_a.origins()
     origins_b = seq_b.origins()
     out = []
@@ -161,7 +165,7 @@ def distill_records(
             if not spec.d1 <= d <= spec.d2:
                 continue
             gt = fb.pose.inverse().compose(fa.pose)
-            ov = overlap_ratio(fa.cloud, fb.cloud, gt, tau)
+            ov = overlap_ratio(index_a[pa], index_b[pb], gt, tau)
             if ov <= spec.overlap_max:
                 out.append(PairRecord(fa.index, fb.index, d, ov))
     return out

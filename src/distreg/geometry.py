@@ -151,6 +151,19 @@ class NeighborIndex:
         i = np.atleast_2d(np.asarray(i, dtype=np.int64)).reshape(len(q), k)
         return d, i
 
+    def within(self, queries, radius: float) -> np.ndarray:
+        """Boolean mask: does each query have an indexed point closer than
+        ``radius``? Equals ``nearest(queries)[0] < radius`` exactly.
+
+        The search prunes everything at or beyond ``radius``. The tree
+        compares squared distances with ``radius**2`` rounded, and any
+        squared distance it cuts off has a rounded root of at least
+        ``radius``; the strict re-check drops the ulp cases it keeps.
+        """
+        q = as_points(queries)
+        d, _ = self._tree.query(q, k=1, distance_upper_bound=radius)
+        return np.asarray(d) < radius
+
 
 def apply_transform(cloud, transform: RigidTransform) -> Points:
     """Map every point p to R·p + t. Input is left unmodified."""
@@ -250,17 +263,19 @@ def overlap_ratio(cloud_a, cloud_b, transform: RigidTransform, tau: float) -> fl
     """Symmetric-minimum overlap under a ground-truth alignment.
 
     Returns min(o_AB, o_BA) where o_AB is the fraction of A points whose
-    image under ``transform`` lies within ``tau`` of some B point.
+    image under ``transform`` lies within ``tau`` of some B point. Either
+    cloud may be given as a ``NeighborIndex`` over it, so a caller testing
+    many pairs indexes each cloud once; o_BA maps B through the inverse
+    transform into A's index.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
-    a = as_points(cloud_a, allow_empty=False)
-    b = as_points(cloud_b, allow_empty=False)
-    a_in_b = apply_transform(a, transform)
-    d_ab, _ = NeighborIndex(b).nearest(a_in_b)
-    d_ba, _ = NeighborIndex(a_in_b).nearest(b)
-    o_ab = float(np.count_nonzero(d_ab < tau)) / a.shape[0]
-    o_ba = float(np.count_nonzero(d_ba < tau)) / b.shape[0]
+    a = cloud_a if isinstance(cloud_a, NeighborIndex) else NeighborIndex(cloud_a)
+    b = cloud_b if isinstance(cloud_b, NeighborIndex) else NeighborIndex(cloud_b)
+    a_in_b = apply_transform(a.points, transform)
+    b_in_a = apply_transform(b.points, transform.inverse())
+    o_ab = float(np.count_nonzero(b.within(a_in_b, tau))) / len(a)
+    o_ba = float(np.count_nonzero(a.within(b_in_a, tau))) / len(b)
     return min(o_ab, o_ba)
 
 

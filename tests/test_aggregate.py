@@ -167,3 +167,9 @@ class TestCoverageGain:
     def test_empty_raises(self, rng):
         with pytest.raises(EmptyCloud):
             agg.apc_coverage_gain(np.zeros((0, 3)), rng.uniform(-1, 1, (5, 3)), 0.3)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_tau(self, rng, tau):
+        pts = rng.uniform(-1, 1, (5, 3))
+        with pytest.raises(ValueError):
+            agg.apc_coverage_gain(pts, pts, tau)

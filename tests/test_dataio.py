@@ -128,6 +128,32 @@ class TestDistillPairs:
         got = dio.distill_records(seq, seq, dio.PairSpec(0.0, 100.0, 1.0), tau=0.5)
         assert [(r.i, r.j) for r in got] == [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
+    def test_indexes_each_frame_once(self, rng, monkeypatch):
+        builds = []
+        build = g.NeighborIndex.__init__
+
+        def counting_build(index, cloud):
+            builds.append(1)
+            build(index, cloud)
+
+        monkeypatch.setattr(g.NeighborIndex, "__init__", counting_build)
+        clouds = [rng.uniform(-5, 5, (40, 3)) for _ in range(7)]
+        poses = [g.RigidTransform(np.eye(3), [k * 2.0, 0, 0]) for k in range(7)]
+        seq_a = make_sequence(clouds[:4], poses[:4])
+        seq_b = make_sequence(clouds[4:], poses[4:])
+        spec = dio.PairSpec(0.0, 100.0, 1.0)
+        assert len(dio.distill_records(seq_a, seq_b, spec)) == 4 * 3
+        assert len(builds) == 4 + 3
+        builds.clear()
+        assert len(dio.distill_records(seq_a, seq_a, spec)) == 4 * 3 // 2
+        assert len(builds) == 4
+
+    def test_nan_tau_raises(self, rng):
+        seq = make_sequence([rng.uniform(-5, 5, (20, 3))] * 2,
+                            [g.RigidTransform(np.eye(3), [k * 2.0, 0, 0]) for k in range(2)])
+        with pytest.raises(ValueError):
+            dio.distill_records(seq, seq, dio.PairSpec(0.0, 100.0, 1.0), tau=float("nan"))
+
     def test_distance_exclusion(self, rng):
         cloud = rng.uniform(-5, 5, (50, 3))
         seq = make_sequence([cloud, cloud],

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distreg import geometry as g
 from distreg.errors import DegenerateGeometry, EmptyCloud
@@ -145,6 +146,22 @@ class TestNeighborIndex:
         np.testing.assert_array_equal(i, expect)
         assert (np.diff(d, axis=1) >= 0).all()
 
+    def test_within_excludes_exact_radius(self):
+        idx = g.NeighborIndex([[0.0, 0.0, 0.0]])
+        for r in (0.5, 0.1):
+            queries = [[r, 0.0, 0.0], [np.nextafter(r, 0.0), 0.0, 0.0]]
+            np.testing.assert_array_equal(idx.within(queries, r), [False, True])
+
+    def test_within_equals_nearest_at_ulp_boundaries(self, rng):
+        # radii equal to, one ulp under and one ulp over actual 1-NN distances
+        pts = rng.uniform(-10, 10, (500, 3))
+        queries = rng.uniform(-10, 10, (200, 3))
+        idx = g.NeighborIndex(pts)
+        d, _ = idx.nearest(queries)
+        for r in d[:40]:
+            for radius in (np.nextafter(r, 0.0), r, np.nextafter(r, np.inf)):
+                np.testing.assert_array_equal(idx.within(queries, radius), d < radius)
+
 
 class TestVoxelDownsample:
     def test_two_points_one_cell(self):
@@ -220,6 +237,40 @@ class TestOverlapRatio:
     def test_empty_raises(self):
         with pytest.raises(EmptyCloud):
             g.overlap_ratio(np.zeros((0, 3)), np.zeros((1, 3)), g.RigidTransform.identity(), 0.5)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_tau(self, tau):
+        pts = np.zeros((1, 3))
+        with pytest.raises(ValueError):
+            g.overlap_ratio(pts, pts, g.RigidTransform.identity(), tau)
+
+    def test_point_at_exactly_tau_does_not_count(self):
+        # A maps to (1,0,0) and (6,0,0): 0.5 (exactly tau) and 0.25 from B
+        a = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
+        b = np.array([[1.5, 0.0, 0.0], [6.25, 0.0, 0.0]])
+        shift = g.RigidTransform(np.eye(3), [1.0, 0.0, 0.0])
+        ia, ib = g.NeighborIndex(a), g.NeighborIndex(b)
+        for x, y in ((a, b), (ia, ib), (ia, b), (a, ib)):
+            assert g.overlap_ratio(x, y, shift, 0.5) == 0.5
+            assert g.overlap_ratio(x, y, shift, np.nextafter(0.5, 1.0)) == 1.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(*[st.floats(-4.0, 4.0)] * 3), min_size=1, max_size=25),
+        st.lists(st.tuples(*[st.floats(-4.0, 4.0)] * 3), min_size=1, max_size=25),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.05, 3.0),
+    )
+    def test_arrays_and_indices_match_all_pairs_brute_force(self, a, b, seed, tau):
+        a, b = np.array(a), np.array(b)
+        transform = g.random_transform(np.random.default_rng(seed), 2.0)
+        moved = a @ transform.rotation.T + transform.translation
+        d = np.linalg.norm(moved[:, None, :] - b[None, :, :], axis=2)
+        expect = min(np.count_nonzero(d.min(axis=1) < tau) / len(a),
+                     np.count_nonzero(d.min(axis=0) < tau) / len(b))
+        ia, ib = g.NeighborIndex(a), g.NeighborIndex(b)
+        for x, y in ((a, b), (ia, ib), (ia, b), (a, ib)):
+            assert g.overlap_ratio(x, y, transform, tau) == expect
 
 
 class TestErrorMetrics:
