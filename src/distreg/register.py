@@ -31,7 +31,7 @@ class Criterion:
     max_rte: float
 
     def __post_init__(self):
-        if self.max_rre <= 0 or self.max_rte <= 0:
+        if not (self.max_rre > 0 and self.max_rte > 0):  # NaN fails too
             raise ValueError("criterion thresholds must be positive")
 
 
@@ -85,8 +85,8 @@ def match_features(features_a, features_b) -> Correspondences:
     fb = np.asarray(features_b, dtype=np.float64)
     if fa.size == 0 or fb.size == 0:
         raise EmptyFeatureMap("both feature maps must be non-empty")
-    if fa.shape[1] != fb.shape[1]:
-        raise ValueError("feature dimensions differ")
+    if fa.ndim != 2 or fb.ndim != 2 or fa.shape[1] != fb.shape[1]:
+        raise ValueError("feature maps must be 2-D with equal dimensions")
     _, a_to_b = cKDTree(fb).query(fa, k=1)
     _, b_to_a = cKDTree(fa).query(fb, k=1)
     ia = np.arange(fa.shape[0])
@@ -95,19 +95,77 @@ def match_features(features_a, features_b) -> Correspondences:
     return Correspondences(pairs.astype(np.int64))
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[[1, 2, 0]] * v[[2, 0, 1]] - u[[2, 0, 1]] * v[[1, 2, 0]]
+
+
+def _triple_frame(p: np.ndarray):
+    """Orthonormal frames of (3 points, 3 coords, B) triples, as a (3 axes,
+    3 coords, B) array (u1, u2, n): u1 along the edge e1 = p1 - p0, n the
+    unit normal, u2 = n × u1. Also the edges' coordinates in their frame,
+    e1 = (L, 0) and e2 = p2 - p0 = (g, h), as (B,) arrays L, g, h. Not
+    finite for coincident or exactly collinear points."""
+    e1, e2 = p[1] - p[0], p[2] - p[0]
+    length = np.sqrt(_dot(e1, e1))
+    u1 = e1 / length
+    n = _cross(e1, e2)
+    n /= np.sqrt(_dot(n, n))
+    # the cross product of nearly parallel edges leans towards them by about
+    # eps / sin(angle); projecting it off u1 once more keeps the frame
+    # orthonormal to rounding, so R passes RigidTransform's check
+    n -= _dot(n, u1) * u1
+    n /= np.sqrt(_dot(n, n))
+    u2 = _cross(n, u1)
+    return np.stack([u1, u2, n]), length, _dot(e2, u1), _dot(e2, u2)
+
+
 def _batched_kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rigid fits for (B, 3, 3) sample triples; flags degenerate samples."""
-    ca = src.mean(axis=1, keepdims=True)
-    cb = dst.mean(axis=1, keepdims=True)
-    H = np.matmul((src - ca).transpose(0, 2, 1), dst - cb)
-    U, S, Vt = np.linalg.svd(H)
-    det = np.linalg.det(np.matmul(Vt.transpose(0, 2, 1), U.transpose(0, 2, 1)))
-    D = np.tile(np.eye(3), (src.shape[0], 1, 1))
-    D[:, 2, 2] = np.sign(det)
-    R = np.matmul(Vt.transpose(0, 2, 1), np.matmul(D, U.transpose(0, 2, 1)))
-    t = cb[:, 0, :] - np.einsum("bij,bj->bi", R, ca[:, 0, :])
-    degenerate = S[:, 1] < 1e-12 * np.maximum(S[:, 0], np.finfo(np.float64).tiny)
-    return R, t, degenerate
+    """Least-squares rigid fits for (B, 3, 3) sample triples, in closed form,
+    and a flag for each degenerate sample.
+
+    Three centred points span at most a plane, so in the triples' own frames
+    F = (u1, u2, n) the cross-covariance H = Σ a_i b_iᵀ reduces to the 2×2
+    M = Σ α_i β_iᵀ of in-plane coordinates (built here from offsets to point
+    0 with the centring folded in, and scaled by 3). The best in-plane
+    rotation scores r = hypot(m00 + m11, m01 − m10) and the best in-plane
+    reflection f = hypot(m00 − m11, m01 + m10); H's singular values are
+    σ1 = (r + f)/2 and σ2 = (r − f)/2 up to that scale. Both frames follow
+    the points' order, so det M = 3 A_src A_dst > 0 for the triangles' areas
+    (Cauchy–Binet) and the rotation always wins: R = F_dst Q F_srcᵀ with the
+    in-plane rotation Q and n_src ↦ n_dst is the proper rotation Kabsch's
+    sign-fixed SVD returns in exact arithmetic. The degenerate rule is the
+    SVD's, σ2 < 1e-12 σ1; a sample with no finite frame (repeated index,
+    coincident or exactly collinear points) is degenerate too and gets
+    R = I. Every step is elementwise over the B samples;
+    tests/test_register.py keeps the SVD fit as the reference."""
+    p = np.ascontiguousarray(src.transpose(1, 2, 0))  # (3 points, 3 coords, B)
+    q = np.ascontiguousarray(dst.transpose(1, 2, 0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        fp, L1, g1, h1 = _triple_frame(p)
+        fq, L2, g2, h2 = _triple_frame(q)
+        # 3 M = 3 Σ x_i y_iᵀ − (Σ x_i)(Σ y_i)ᵀ over the in-plane offsets
+        # x = 0, (L1, 0), (g1, h1) and y = 0, (L2, 0), (g2, h2) from point 0
+        m00 = 2 * (L1 * L2 + g1 * g2) - L1 * g2 - g1 * L2
+        m01 = (2 * g1 - L1) * h2
+        m10 = h1 * (2 * g2 - L2)
+        m11 = 2 * h1 * h2
+        r = np.hypot(m00 + m11, m01 - m10)
+        f = np.hypot(m00 - m11, m01 + m10)
+        c, s = (m00 + m11) / r, (m01 - m10) / r
+        # R takes the source frame's axes u1, u2, n to these
+        img = (c * fq[0] + s * fq[1], c * fq[1] - s * fq[0], fq[2])
+        R = img[0][:, None] * fp[0] + img[1][:, None] * fp[1] + img[2][:, None] * fp[2]
+        # a frame that is not finite leaves sigma2 NaN, which fails the test
+        sigma1, sigma2 = 0.5 * (r + f), 0.5 * (r - f)
+        degenerate = ~(sigma2 >= 1e-12 * np.maximum(sigma1, np.finfo(np.float64).tiny))
+    R[:, :, ~np.isfinite(R).all(axis=(0, 1))] = np.eye(3)[:, :, None]
+    cp, cq = p.mean(axis=0), q.mean(axis=0)
+    t = cq - (R[:, 0] * cp[0] + R[:, 1] * cp[1] + R[:, 2] * cp[2])
+    return np.ascontiguousarray(R.transpose(2, 0, 1)), np.ascontiguousarray(t.T), degenerate
 
 
 def _squared_threshold(thr: float) -> float:
@@ -121,6 +179,11 @@ def _squared_threshold(thr: float) -> float:
     while math.sqrt(x) < thr:
         x = math.nextafter(x, math.inf)
     return x
+
+
+# ransac_register scores each chunk in row blocks whose three (rows, n)
+# float64 _squared_residuals buffers take about this much, so they stay in L2
+_SCORE_BLOCK_BYTES = 1 << 20
 
 
 def _squared_residuals(R: np.ndarray, t: np.ndarray, src_t: np.ndarray,
@@ -172,13 +235,16 @@ def ransac_register(
     best_R = np.eye(3)
     best_t = np.zeros(3)
     chunk = max(1, min(512, int(4e6 / max(n, 1))))
+    rows = max(1, _SCORE_BLOCK_BYTES // (3 * 8 * n))
     for start in range(0, cfg.iterations, chunk):
         block = samples[start : start + chunk]
-        # repeated indices within a sample make it degenerate; the rank test
-        # inside the batched fit catches them along with collinear triples
+        # repeated indices within a sample make it degenerate; the batched
+        # fit flags them along with coincident and collinear triples
         R, t, degenerate = _batched_kabsch(src[block], dst[block])
-        d2 = _squared_residuals(R, t, src_t, dst_t)
-        counts = np.count_nonzero(d2 < thr2, axis=1)
+        counts = np.empty(len(block), dtype=np.intp)
+        for r in range(0, len(block), rows):
+            d2 = _squared_residuals(R[r : r + rows], t[r : r + rows], src_t, dst_t)
+            counts[r : r + rows] = np.count_nonzero(d2 < thr2, axis=1)
         counts[degenerate] = -1
         bi = int(np.argmax(counts))  # first maximum: earliest hypothesis wins ties
         if counts[bi] > best_count:
@@ -273,13 +339,19 @@ def read_results(path) -> list[PairResult]:
             if len(row) != len(_RESULT_FIELDS):
                 raise MalformedFile(f"{where}: expected {len(_RESULT_FIELDS)} fields")
             try:
+                flags = [int(v) for v in row[6:9]]
+                inliers = int(row[9])
+                if any(v not in (0, 1) for v in flags):
+                    raise ValueError(f"success flags must be 0 or 1, got {row[6:9]}")
+                if inliers < 0:
+                    raise ValueError(f"negative inlier count {inliers}")
                 out.append(PairResult(
                     i=int(row[0]), j=int(row[1]),
                     distance=float(row[2]), overlap=float(row[3]),
                     rre=float(row[4]), rte=float(row[5]),
-                    success={"loose": bool(int(row[6])), "normal": bool(int(row[7])),
-                             "strict": bool(int(row[8]))},
-                    inlier_count=int(row[9]),
+                    success={"loose": bool(flags[0]), "normal": bool(flags[1]),
+                             "strict": bool(flags[2])},
+                    inlier_count=inliers,
                 ))
             except ValueError as exc:
                 raise MalformedFile(f"{where}: {exc}") from exc

@@ -38,6 +38,60 @@ def fused_counts(R, t, src, dst, thr):
     return np.count_nonzero(d2 < reg._squared_threshold(thr), axis=1)
 
 
+def svd_kabsch(src, dst):
+    """The fit ransac_register used before the closed form: one SVD of the
+    3x3 cross-covariance per (B, 3, 3) sample triple, with Kabsch's sign fix.
+    Also returns the singular values and the fix's sign, -1 where the SVD's
+    own orthogonal factor was a reflection."""
+    ca = src.mean(axis=1, keepdims=True)
+    cb = dst.mean(axis=1, keepdims=True)
+    H = np.matmul((src - ca).transpose(0, 2, 1), dst - cb)
+    U, S, Vt = np.linalg.svd(H)
+    det = np.linalg.det(np.matmul(Vt.transpose(0, 2, 1), U.transpose(0, 2, 1)))
+    D = np.tile(np.eye(3), (src.shape[0], 1, 1))
+    D[:, 2, 2] = np.sign(det)
+    R = np.matmul(Vt.transpose(0, 2, 1), np.matmul(D, U.transpose(0, 2, 1)))
+    t = cb[:, 0, :] - np.einsum("bij,bj->bi", R, ca[:, 0, :])
+    degenerate = S[:, 1] < 1e-12 * np.maximum(S[:, 0], np.finfo(np.float64).tiny)
+    return R, t, degenerate, S, D[:, 2, 2]
+
+
+def matched_triples(seed, b=4000):
+    """(b, 3, 3) source triples and their images under one rigid motion plus
+    noise; half of the destination triples are replaced by random points."""
+    srng = np.random.default_rng(seed)
+    src = srng.uniform(-30, 30, (b, 3, 3))
+    motion = random_transform(srng, 10.0)
+    dst = src @ motion.rotation.T + motion.translation + srng.normal(0, 0.2, (b, 3, 3))
+    outlier = srng.random(b) < 0.5
+    dst[outlier] = srng.uniform(-30, 30, (int(outlier.sum()), 3, 3))
+    return src, dst
+
+
+def ransac_scene(seed, n):
+    """n correspondences under a random rigid motion, about half of them
+    replaced by random points."""
+    srng = np.random.default_rng(seed)
+    motion = random_transform(srng, 10.0)
+    a = srng.uniform(-30, 30, (n, 3))
+    b = apply_transform(a, motion) + srng.normal(0, 0.05, (n, 3))
+    outlier = srng.random(n) < 0.5
+    b[outlier] = srng.uniform(-30, 30, (int(outlier.sum()), 3))
+    return a, b
+
+
+def assert_proper_rotations(R):
+    assert np.abs(R @ R.transpose(0, 2, 1) - np.eye(3)).max() < 1e-13
+    assert np.abs(np.linalg.det(R) - 1.0).max() < 1e-13
+
+
+# triples on a coarse grid: coincident, repeated and exactly collinear points
+# come up often, and a non-collinear pair of triples keeps
+# sigma2 / sigma1 above 1e-8, far from the 1e-12 degenerate cut
+grid_triples = st.lists(st.integers(-10, 10), min_size=18, max_size=18).map(
+    lambda v: np.array(v, dtype=np.float64).reshape(2, 1, 3, 3) / 2)
+
+
 positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
@@ -51,6 +105,12 @@ class TestCriteria:
         assert reg.criterion_by_name("strict") is reg.STRICT
         with pytest.raises(ValueError):
             reg.criterion_by_name("medium")
+
+    @pytest.mark.parametrize("max_rre,max_rte", [(float("nan"), 1.0), (1.0, float("nan")),
+                                                 (0.0, 1.0), (1.0, -0.5)])
+    def test_rejects_non_positive_or_nan_thresholds(self, max_rre, max_rte):
+        with pytest.raises(ValueError):
+            reg.Criterion("x", max_rre, max_rte)
 
 
 class TestMatchFeatures:
@@ -88,6 +148,12 @@ class TestMatchFeatures:
     def test_empty_raises(self, rng):
         with pytest.raises(EmptyFeatureMap):
             reg.match_features(np.zeros((0, 4)), rng.normal(size=(5, 4)))
+
+    @pytest.mark.parametrize("shape_a,shape_b", [((5,), (6, 4)), ((5, 4), (6,)), ((5,), (6,)),
+                                                 ((2, 5, 4), (2, 6, 4)), ((5, 4), (6, 3))])
+    def test_not_2d_or_unequal_width_raises_value_error(self, rng, shape_a, shape_b):
+        with pytest.raises(ValueError, match="2-D with equal dimensions"):
+            reg.match_features(rng.normal(size=shape_a), rng.normal(size=shape_b))
 
 
 class TestRansac:
@@ -140,6 +206,114 @@ class TestRansac:
         a = rng.uniform(-1, 1, (2, 3))
         with pytest.raises(TooFewCorrespondences):
             reg.ransac_register(identity_corr(2), a, a, reg.RansacConfig(iterations=10))
+
+
+class TestClosedFormFit:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_svd_reference(self, seed):
+        src, dst = matched_triples(seed)
+        R, t, degenerate = reg._batched_kabsch(src, dst)
+        R_ref, t_ref, degenerate_ref, S, sign = svd_kabsch(src, dst)
+        np.testing.assert_array_equal(degenerate, degenerate_ref)
+        assert not degenerate.any()
+        # H has rank 2, so the SVD's orthogonal factor is a reflection about
+        # half the time; the closed form must agree with the fixed answer
+        assert (sign > 0).sum() > 1000 and (sign < 0).sum() > 1000
+        assert_proper_rotations(R)
+        well = S[:, 1] >= 1e-3 * S[:, 0]
+        assert well.mean() > 0.9
+        assert np.abs(R - R_ref)[well].max() < 1e-12
+        assert np.abs(t - t_ref)[well].max() < 1e-10
+
+    def test_degenerate_flags_match_reference(self):
+        srng = np.random.default_rng(3)
+        pts = srng.uniform(-30, 30, (6, 3))
+        origin, step = srng.integers(-20, 20, (2, 3)).astype(np.float64)
+        special = np.stack([
+            pts[[0, 0, 1]], pts[[0, 1, 1]], pts[[0, 1, 0]],  # repeated index
+            pts[[2, 2, 2]],                                  # all coincident
+            np.stack([origin, origin + step, origin + 3 * step]),  # exactly collinear
+        ])
+        generic = np.broadcast_to(pts[3:], special.shape)
+        for src, dst in ((special, generic), (generic, special), (special, special)):
+            R, t, degenerate = reg._batched_kabsch(src, dst)
+            assert degenerate.all()
+            assert np.isfinite(R).all() and np.isfinite(t).all()
+            np.testing.assert_array_equal(degenerate, svd_kabsch(src, dst)[2])
+        _, _, degenerate = reg._batched_kabsch(generic, generic[:, ::-1])
+        assert not degenerate.any()
+
+    def test_nearly_collinear_triples_stay_proper_rotations(self):
+        srng = np.random.default_rng(4)
+        b = 3000
+        base, step = srng.uniform(-30, 30, (b, 3)), srng.normal(size=(b, 3))
+        height = 10.0 ** srng.uniform(-11, -3, b)
+        src = np.stack([base, base + 2 * step,
+                        base + 5 * step + height[:, None] * srng.normal(size=(b, 3))], axis=1)
+        dst = srng.uniform(-30, 30, (b, 3, 3))
+        R, _, degenerate = reg._batched_kabsch(src, dst)
+        np.testing.assert_array_equal(degenerate, svd_kabsch(src, dst)[2])
+        assert (~degenerate).sum() > 2000
+        assert_proper_rotations(R[~degenerate])
+
+    @given(grid_triples)
+    def test_grid_triples_agree_with_reference(self, pair):
+        src, dst = pair
+        R, t, degenerate = reg._batched_kabsch(src, dst)
+        R_ref, t_ref, degenerate_ref, S, _ = svd_kabsch(src, dst)
+        np.testing.assert_array_equal(degenerate, degenerate_ref)
+        if not degenerate[0]:
+            assert_proper_rotations(R)
+            if S[0, 1] >= 1e-3 * S[0, 0]:
+                assert np.abs(R - R_ref).max() < 1e-12
+                assert np.abs(t - t_ref).max() < 1e-10
+
+
+class TestRansacAgainstSvdFit:
+    """ransac_register against the same loop with the SVD fit and unblocked
+    scoring, on scenes from 8 to 331 correspondences (below 30, about 3/n of
+    the samples repeat an index)."""
+
+    scenes = [(0, 8), (1, 12), (2, 21), (3, 29), (4, 60), (5, 150), (6, 331)]
+
+    @pytest.mark.parametrize("seed,n", scenes)
+    def test_per_hypothesis_counts_and_flags_equal(self, seed, n):
+        a, b = ransac_scene(seed, n)
+        samples = np.random.default_rng(seed).integers(0, n, (3000, 3))
+        R, t, degenerate = reg._batched_kabsch(a[samples], b[samples])
+        R_ref, t_ref, degenerate_ref, _, _ = svd_kabsch(a[samples], b[samples])
+        np.testing.assert_array_equal(degenerate, degenerate_ref)
+        if n < 30:
+            assert degenerate.mean() > 0.05
+        live = ~degenerate
+        for thr in (0.1, 0.3, 1.0):
+            np.testing.assert_array_equal(fused_counts(R, t, a, b, thr)[live],
+                                          fused_counts(R_ref, t_ref, a, b, thr)[live])
+
+    @pytest.mark.parametrize("seed,n", scenes)
+    def test_estimate_bytes_equal(self, monkeypatch, seed, n):
+        a, b = ransac_scene(seed, n)
+        cfg = reg.RansacConfig(iterations=3000, inlier_threshold=0.3, seed=seed)
+        est = reg.ransac_register(identity_corr(n), a, b, cfg)
+        monkeypatch.setattr(reg, "_batched_kabsch", lambda s, d: svd_kabsch(s, d)[:3])
+        monkeypatch.setattr(reg, "_SCORE_BLOCK_BYTES", 1 << 40)
+        ref = reg.ransac_register(identity_corr(n), a, b, cfg)
+        assert est.transform.rotation.tobytes() == ref.transform.rotation.tobytes()
+        assert est.transform.translation.tobytes() == ref.transform.translation.tobytes()
+        assert est.inlier_count == ref.inlier_count
+
+
+    def test_row_blocks_score_every_hypothesis(self, monkeypatch):
+        a, b = ransac_scene(6, 331)
+        cfg = reg.RansacConfig(iterations=1500, inlier_threshold=0.3, seed=6)
+        score, blocks = reg._squared_residuals, []
+        monkeypatch.setattr(reg, "_squared_residuals",
+                            lambda *args: blocks.append(score(*args)) or blocks[-1])
+        reg.ransac_register(identity_corr(331), a, b, cfg)
+        assert max(len(d2) for d2 in blocks) < 512
+        samples = np.random.default_rng(6).integers(0, 331, (1500, 3))
+        R, t, _ = reg._batched_kabsch(a[samples], b[samples])
+        np.testing.assert_array_equal(np.concatenate(blocks), score(R, t, a.T.copy(), b.T.copy()))
 
 
 class TestRansacConfig:
@@ -282,6 +456,19 @@ class TestRecallAndExport:
                                              {"loose": True, "normal": True, "strict": False},
                                              42)])
         p.write_text(p.read_text() + row + "\n")
+        with pytest.raises(MalformedFile, match=re.escape(f"{p}:3: ")):
+            reg.read_results(p)
+
+    @pytest.mark.parametrize("field,value", [(6, "7"), (7, "-1"), (8, "2"), (9, "-5")],
+                             ids=["success_loose", "success_normal", "success_strict", "inliers"])
+    def test_results_impossible_value_rejected(self, tmp_path, field, value):
+        p = tmp_path / "results.csv"
+        reg.write_results(p, [reg.PairResult(0, 9, 12.5, 0.25, 0.8, 0.3,
+                                             {"loose": True, "normal": True, "strict": False},
+                                             42)])
+        row = "0,9,12.5,0.25,0.8,0.3,1,1,0,42".split(",")
+        row[field] = value
+        p.write_text(p.read_text() + ",".join(row) + "\n")
         with pytest.raises(MalformedFile, match=re.escape(f"{p}:3: ")):
             reg.read_results(p)
 
