@@ -61,8 +61,8 @@ from .register import (
     NORMAL,
     STRICT,
     Criterion,
+    PairResult,
     RansacConfig,
-    RegistrationResult,
     evaluate,
     match_features,
     ransac_register,

@@ -4,10 +4,11 @@ Configuration precedence is flags > config file > defaults. The config
 file is flat ``key=value`` text whose keys mirror the flag names; unknown
 keys are rejected.
 
-Exit codes: 0 success, 2 usage, 3 I/O, 4 empty-result guard (also no
-training pairs or positives, a cloud with fewer points than the model's
-``k``, and an evaluated pair with too few feature matches for RANSAC),
-5 numeric failure.
+Exit codes: 0 success, 2 usage, 3 I/O (also a malformed input file), 4
+empty-result guard (also no training pairs or positives, an empty point
+cloud, a cloud with fewer points than the model's ``k``, a key frame with
+no neighbouring frames to aggregate, and an evaluated pair with too few
+feature matches for RANSAC), 5 numeric failure.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from . import dataio, model as mdl, pipeline, register, simulate
 from .aggregate import ApgConfig
 from .errors import (
     DistregError,
+    EmptyCloud,
     EmptyResults,
     MalformedFile,
+    NoNeighborFrames,
     NonFinite,
     NonFiniteLoss,
     NoPairs,
@@ -141,7 +144,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--dataset", required=True)
     p.add_argument("--dataset-b", default=None)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--criterion", choices=["loose", "normal", "strict"], default="normal")
+    p.add_argument("--criterion", choices=[c.name for c in register.CRITERIA], default="normal")
     p.add_argument("--ransac-iterations", type=int, default=50_000)
     p.add_argument("--inlier-threshold", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)
@@ -162,7 +165,7 @@ def load_config_file(path) -> dict[str, str]:
     if not p.exists():
         raise CliIOError(f"config file not found: {path}")
     values = {}
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(dataio.read_text(p).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -385,9 +388,7 @@ def _oracle_records(seq_a, seq_b, pairs) -> list[register.PairResult]:
     out = []
     for r in pairs:
         gt = pipeline.relative_gt(seq_a[seq_a.position_of(r.i)], seq_b[seq_b.position_of(r.j)])
-        res = register.evaluate(gt, gt, register.CRITERIA, 0)
-        out.append(register.PairResult(
-            r.i, r.j, r.distance, r.overlap, res.rre, res.rte, res.success, 0))
+        out.append(register.evaluate(gt, gt, pair=r))
     return out
 
 
@@ -469,7 +470,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (EmptyResultGuard, NoPairs, NoPositives, EmptyResults, TooFewPoints,
-            TooFewCorrespondences) as exc:
+            TooFewCorrespondences, EmptyCloud, NoNeighborFrames) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
     except (NonFiniteLoss, NonFinite) as exc:

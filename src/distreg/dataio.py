@@ -62,6 +62,14 @@ class FrameSequence:
         return np.array([f.pose.translation for f in self.frames])
 
 
+def read_text(path) -> str:
+    """A text file's contents; bytes that do not decode raise MalformedFile."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: {exc}") from exc
+
+
 def load_kitti_bin(path) -> Points:
     """Parse a binary point file; reflectance is discarded, order preserved."""
     raw = Path(path).read_bytes()
@@ -83,7 +91,7 @@ def load_pose_file(path) -> list[RigidTransform]:
     """Parse 3x4 row-major [R|t] lines; rotations off by ≤ 1e-3 are
     re-orthonormalized via SVD, beyond that NonRigidPose is raised."""
     poses = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         tokens = line.split()
@@ -93,6 +101,8 @@ def load_pose_file(path) -> list[RigidTransform]:
             values = np.array([float(t) for t in tokens]).reshape(3, 4)
         except ValueError as exc:
             raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
+        if not np.isfinite(values).all():
+            raise MalformedFile(f"{path}:{lineno}: non-finite value")
         R = values[:, :3]
         deviation = max(
             np.abs(R.T @ R - np.eye(3)).max(),
@@ -178,7 +188,7 @@ def write_pairs_file(path, records: list[PairRecord]) -> None:
 
 
 def read_pairs_file(path) -> list[PairRecord]:
-    text = Path(path).read_text().splitlines()
+    text = read_text(path).splitlines()
     if not text or text[0].split(",")[:2] != ["i", "j"]:
         raise MalformedFile(f"{path}: missing pairs header")
     records = []
@@ -214,7 +224,9 @@ def load_dataset(directory) -> FrameSequence:
     poses = load_pose_file(d / "poses.txt")
     meta_path = d / "meta.json"
     if meta_path.exists():
-        indices = json.loads(meta_path.read_text())["frame_indices"]
+        indices = load_dataset_meta(d).get("frame_indices")
+        if not isinstance(indices, list) or not all(type(i) is int for i in indices):
+            raise MalformedFile(f"{meta_path}: frame_indices must be a list of integers")
     else:
         indices = sorted(int(p.stem) for p in d.glob("*.bin"))
     if len(indices) != len(poses):
@@ -223,8 +235,19 @@ def load_dataset(directory) -> FrameSequence:
         Frame(load_kitti_bin(d / f"{idx:06d}.bin"), pose, idx)
         for idx, pose in zip(indices, poses)
     )
-    return FrameSequence(frames)
+    try:
+        return FrameSequence(frames)
+    except ValueError as exc:
+        raise MalformedFile(f"{directory}: {exc}") from exc
 
 
 def load_dataset_meta(directory) -> dict:
-    return json.loads((Path(directory) / "meta.json").read_text())
+    """The JSON object in a dataset's ``meta.json``."""
+    path = Path(directory) / "meta.json"
+    try:
+        meta = json.loads(read_text(path))
+    except ValueError as exc:  # not JSON
+        raise MalformedFile(f"{path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise MalformedFile(f"{path}: expected a JSON object")
+    return meta

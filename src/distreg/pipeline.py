@@ -21,7 +21,7 @@ from scipy.spatial import cKDTree
 
 from . import model as mdl
 from .aggregate import ApgConfig, DisturbConfig, generate_apc, select_nonkey_frames
-from .dataio import FrameSequence, PairSpec, distill_records
+from .dataio import FrameSequence, PairRecord, PairSpec, distill_records
 from .errors import NonFinite, NonFiniteLoss, NoPairs
 from .geometry import (
     Correspondences,
@@ -39,6 +39,7 @@ from .register import (
     RansacConfig,
     evaluate,
     match_features,
+    mutual_nearest,
     ransac_register,
     registration_recall,
 )
@@ -151,14 +152,8 @@ def write_train_log(path, log: TrainLog) -> None:
 def gt_correspondences(cloud_a, cloud_b, gt: RigidTransform, radius: float = 0.3) -> Correspondences:
     """Mutual-closest point pairs within ``radius`` after ground-truth
     alignment of A onto B."""
-    a = apply_transform(as_points(cloud_a), gt)
-    b = as_points(cloud_b)
-    d_ab, a_to_b = cKDTree(b).query(a, k=1)
-    _, b_to_a = cKDTree(a).query(b, k=1)
-    ia = np.arange(a.shape[0])
-    mutual = (b_to_a[a_to_b] == ia) & (d_ab < radius)
-    pairs = np.stack([ia[mutual], a_to_b[mutual]], axis=1)
-    return Correspondences(pairs.astype(np.int64))
+    pairs, d = mutual_nearest(apply_transform(as_points(cloud_a), gt), as_points(cloud_b))
+    return Correspondences(pairs[d < radius])
 
 
 def feature_inlier_ratio(
@@ -415,11 +410,8 @@ def evaluate_pairs(
     out = []
     for pair in pairs:
         if isinstance(pair, tuple):
-            i, j = pair
-            dist = float("nan")
-            overlap = float("nan")
-        else:
-            i, j, dist, overlap = pair.i, pair.j, pair.distance, pair.overlap
+            pair = PairRecord(*pair, float("nan"), float("nan"))
+        i, j = pair.i, pair.j
         fa = seq_a[seq_a.position_of(i)]
         fb = seq_b[seq_b.position_of(j)]
         cloud_a = fa.cloud
@@ -429,9 +421,7 @@ def evaluate_pairs(
                 [seed, _TAG_DENSITY, i * 1_000_003 + j]))
         gt = relative_gt(fa, fb)
         est = register_pair(cloud_a, fb.cloud, enc, ransac, input_voxel_size)
-        res = evaluate(est.transform, gt, CRITERIA, est.inlier_count)
-        out.append(PairResult(i, j, dist, overlap, res.rre, res.rte, res.success,
-                              res.inlier_count))
+        out.append(evaluate(est.transform, gt, CRITERIA, est.inlier_count, pair))
     return out
 
 

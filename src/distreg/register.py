@@ -70,29 +70,41 @@ class RansacEstimate:
 
 
 @dataclass(frozen=True)
-class RegistrationResult:
-    transform: RigidTransform
+class PairResult:
+    """One scored pair: the row of the results file. ``i = j = -1`` and NaN
+    distance and overlap when the pair was scored without naming it."""
+
+    i: int
+    j: int
+    distance: float
+    overlap: float
     rre: float
     rte: float
-    inlier_count: int
     success: dict[str, bool]
+    inlier_count: int = 0
+
+
+def mutual_nearest(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mutual nearest rows of two (N, D) arrays: (i, j) is kept iff j is i's
+    nearest row of B and i is j's nearest row of A. Returns the (M, 2) int64
+    pairs and each pair's A→B distance."""
+    d_ab, a_to_b = cKDTree(b).query(a, k=1)
+    _, b_to_a = cKDTree(a).query(b, k=1)
+    ia = np.arange(a.shape[0])
+    mutual = b_to_a[a_to_b] == ia
+    pairs = np.stack([ia[mutual], a_to_b[mutual]], axis=1)
+    return pairs.astype(np.int64), d_ab[mutual]
 
 
 def match_features(features_a, features_b) -> Correspondences:
-    """Mutual nearest neighbors in feature space: (i, j) is kept iff j is
-    i's nearest row of B and i is j's nearest row of A."""
+    """Mutual nearest neighbors in feature space."""
     fa = np.asarray(features_a, dtype=np.float64)
     fb = np.asarray(features_b, dtype=np.float64)
     if fa.size == 0 or fb.size == 0:
         raise EmptyFeatureMap("both feature maps must be non-empty")
     if fa.ndim != 2 or fb.ndim != 2 or fa.shape[1] != fb.shape[1]:
         raise ValueError("feature maps must be 2-D with equal dimensions")
-    _, a_to_b = cKDTree(fb).query(fa, k=1)
-    _, b_to_a = cKDTree(fa).query(fb, k=1)
-    ia = np.arange(fa.shape[0])
-    mutual = b_to_a[a_to_b] == ia
-    pairs = np.stack([ia[mutual], a_to_b[mutual]], axis=1)
-    return Correspondences(pairs.astype(np.int64))
+    return Correspondences(mutual_nearest(fa, fb)[0])
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -274,18 +286,23 @@ def evaluate(
     gt: RigidTransform,
     criteria=CRITERIA,
     inlier_count: int = 0,
-) -> RegistrationResult:
-    """Fill rotation/translation errors against ground truth and the
-    success flag of every criterion (rre ≤ max_rre AND rte ≤ max_rte)."""
+    pair=None,
+) -> PairResult:
+    """Score an estimate against ground truth: rotation/translation errors
+    and the success flag of every criterion (rre ≤ max_rre AND rte ≤
+    max_rte). ``pair``, a PairRecord-like with i, j, distance and overlap,
+    names the row."""
     e_rot = rre(transform.rotation, gt.rotation)
     e_tr = rte(transform.translation, gt.translation)
     flags = {c.name: bool(e_rot <= c.max_rre and e_tr <= c.max_rte) for c in criteria}
-    return RegistrationResult(transform, e_rot, e_tr, inlier_count, flags)
+    if pair is None:
+        return PairResult(-1, -1, math.nan, math.nan, e_rot, e_tr, flags, inlier_count)
+    return PairResult(pair.i, pair.j, pair.distance, pair.overlap, e_rot, e_tr, flags,
+                      inlier_count)
 
 
 def registration_recall(results, criterion: Criterion) -> float:
-    """Fraction of results (RegistrationResult or PairResult) succeeding
-    under the criterion."""
+    """Fraction of PairResults succeeding under the criterion."""
     results = list(results)
     if not results:
         raise EmptyResults("registration recall over zero results")
@@ -296,22 +313,8 @@ def registration_recall(results, criterion: Criterion) -> float:
 # Results export
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairResult:
-    """One evaluated pair, as written to the results file."""
-
-    i: int
-    j: int
-    distance: float
-    overlap: float
-    rre: float
-    rte: float
-    success: dict[str, bool]
-    inlier_count: int = 0
-
-
 _RESULT_FIELDS = ["i", "j", "distance_m", "overlap", "rre_deg", "rte_m",
-                  "success_loose", "success_normal", "success_strict", "inliers"]
+                  *(f"success_{c.name}" for c in CRITERIA), "inliers"]
 
 
 def write_results(path, records: list[PairResult]) -> None:
@@ -322,39 +325,42 @@ def write_results(path, records: list[PairResult]) -> None:
             writer.writerow([
                 r.i, r.j, f"{r.distance:.17g}", f"{r.overlap:.17g}",
                 f"{r.rre:.17g}", f"{r.rte:.17g}",
-                int(r.success["loose"]), int(r.success["normal"]), int(r.success["strict"]),
-                r.inlier_count,
+                *(int(r.success[c.name]) for c in CRITERIA), r.inlier_count,
             ])
 
 
 def read_results(path) -> list[PairResult]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _RESULT_FIELDS:
-            raise MalformedFile(f"{path}: unexpected results header {header}")
-        out = []
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(_RESULT_FIELDS):
-                raise MalformedFile(f"{where}: expected {len(_RESULT_FIELDS)} fields")
-            try:
-                flags = [int(v) for v in row[6:9]]
-                inliers = int(row[9])
-                if any(v not in (0, 1) for v in flags):
-                    raise ValueError(f"success flags must be 0 or 1, got {row[6:9]}")
-                if inliers < 0:
-                    raise ValueError(f"negative inlier count {inliers}")
-                out.append(PairResult(
-                    i=int(row[0]), j=int(row[1]),
-                    distance=float(row[2]), overlap=float(row[3]),
-                    rre=float(row[4]), rte=float(row[5]),
-                    success={"loose": bool(flags[0]), "normal": bool(flags[1]),
-                             "strict": bool(flags[2])},
-                    inlier_count=inliers,
-                ))
-            except ValueError as exc:
-                raise MalformedFile(f"{where}: {exc}") from exc
+    """The rows of a results file; raises MalformedFile for any other
+    content."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != _RESULT_FIELDS:
+                raise MalformedFile(f"{path}: unexpected results header {header}")
+            out = []
+            for row in reader:
+                where = f"{path}:{reader.line_num}"
+                if len(row) != len(_RESULT_FIELDS):
+                    raise MalformedFile(f"{where}: expected {len(_RESULT_FIELDS)} fields")
+                try:
+                    flags = [int(v) for v in row[6:-1]]
+                    inliers = int(row[-1])
+                    if any(v not in (0, 1) for v in flags):
+                        raise ValueError(f"success flags must be 0 or 1, got {row[6:-1]}")
+                    if inliers < 0:
+                        raise ValueError(f"negative inlier count {inliers}")
+                    out.append(PairResult(
+                        i=int(row[0]), j=int(row[1]),
+                        distance=float(row[2]), overlap=float(row[3]),
+                        rre=float(row[4]), rte=float(row[5]),
+                        success={c.name: bool(v) for c, v in zip(CRITERIA, flags)},
+                        inlier_count=inliers,
+                    ))
+                except ValueError as exc:
+                    raise MalformedFile(f"{where}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedFile(f"{path}: {exc}") from exc
     return out
 
 
@@ -368,12 +374,11 @@ def summarize_results(records: list[PairResult]) -> dict:
     all_rte = np.array([r.rte for r in records])
     for c in CRITERIA:
         flags = np.array([r.success[c.name] for r in records], dtype=bool)
-        entry = {
-            "rr": float(np.mean(flags)),
+        out[c.name] = {
+            "rr": registration_recall(records, c),
             "mean_rre_all": float(np.mean(all_rre)),
             "mean_rte_all": float(np.mean(all_rte)),
             "mean_rre_success": float(np.mean(all_rre[flags])) if flags.any() else float("nan"),
             "mean_rte_success": float(np.mean(all_rte[flags])) if flags.any() else float("nan"),
         }
-        out[c.name] = entry
     return out

@@ -1,7 +1,11 @@
+import re
+import shutil
+
 import numpy as np
 import pytest
 
 from distreg import cli, dataio, model as mdl, pipeline, register as reg
+from distreg.errors import MalformedFile
 
 
 def run(args):
@@ -211,6 +215,22 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: cloud has ")
         assert not out.exists()
 
+    def test_no_neighbor_frames_exit_4(self, tmp_path, capsys):
+        # a one-frame dataset leaves the key frame nothing to aggregate
+        ds = tmp_path / "one"
+        assert run(["simulate", "--seed", 1, "--frames", 1, "--azimuth-steps", 64,
+                    "--rings", 3, "--out", ds]) == 0
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("i,j,distance_m,overlap\n0,0,0,1\n")
+        out = tmp_path / "x.ckpt"
+        capsys.readouterr()
+        assert run(["train", "--dataset", ds, "--pairs", pairs, "--epochs", 1, "--k", 6,
+                    "--feature-dim", 12, "--phi", 2, "--decoder-hidden", "32,16",
+                    "--out", out]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: no non-key frames")
+        assert not out.exists()
+
     def test_curriculum_mode(self, dataset, tmp_path):
         code = run(["train", "--dataset", dataset, "--curriculum",
                     "--curriculum-d2", 12, "--out", tmp_path / "cur.ckpt",
@@ -340,8 +360,56 @@ class TestEvaluate:
         assert len(err) == 1 and err[0].startswith("error: need >= 3 correspondences")
         assert not out.exists()
 
+    def test_empty_point_file_exit_4(self, dataset, pairs_file, checkpoint, tmp_path,
+                                     capsys):
+        assert any(r.i == 0 for r in dataio.read_pairs_file(pairs_file))
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset, ds)
+        (ds / "000000.bin").write_bytes(b"")
+        out = tmp_path / "r.csv"
+        assert run(["evaluate", "--dataset", ds, "--pairs", pairs_file,
+                    "--checkpoint", checkpoint, "--ransac-iterations", 200,
+                    "--input-voxel-size", 0.5, "--out", out]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0] == "error: operation requires a non-empty cloud"
+        assert not out.exists()
+
     def test_empty_pairs_exit_4(self, dataset, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("i,j,distance_m,overlap\n")
         assert run(["evaluate", "--dataset", dataset, "--pairs", empty,
                     "--oracle-gt", "--out", tmp_path / "r.csv"]) == 4
+
+
+class TestMalformedInput:
+    """Malformed text input exits 3 with one error line naming the file."""
+
+    def _expect_exit_3(self, argv, path, capsys):
+        capsys.readouterr()
+        assert run(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}")
+
+    def test_pairs_file_not_utf8(self, dataset, tmp_path, capsys):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_bytes(b"i,j,distance_m,overlap\n0,\xff,1,1\n")
+        self._expect_exit_3(["evaluate", "--dataset", dataset, "--pairs", pairs,
+                             "--oracle-gt", "--out", tmp_path / "r.csv"], pairs, capsys)
+
+    def test_config_file_not_utf8(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"tau=0.5\n# \xe9t\xe9\n")
+        with pytest.raises(MalformedFile, match=re.escape(str(cfg))):
+            cli.load_config_file(cfg)
+        self._expect_exit_3(["distill", "--dataset", dataset, "--config", cfg,
+                             "--out", tmp_path / "p.csv"], cfg, capsys)
+
+    @pytest.mark.parametrize("meta", [b"{not json", b'{"seed": 4}'],
+                             ids=["not-json", "no-frame-indices"])
+    def test_bad_meta_json(self, dataset, tmp_path, capsys, meta):
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset, ds)
+        (ds / "meta.json").write_bytes(meta)
+        self._expect_exit_3(["distill", "--dataset", ds, "--out", tmp_path / "p.csv"],
+                            ds / "meta.json", capsys)
+        assert not (tmp_path / "p.csv").exists()

@@ -2,10 +2,20 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from distreg import dataio as dio
 from distreg import geometry as g
 from distreg.errors import MalformedFile, NonRigidPose
+
+
+def file_bytes(header: bytes):
+    """Arbitrary bytes, and rows of CSV-like tokens (some not UTF-8) under a
+    valid header."""
+    tokens = st.sampled_from([b"0", b"1", b"7", b"-", b".", b"e", b"nan", b"inf", b",",
+                              b"\n", b"\r", b" ", b'"', b"\xff", b"\x00", b"\xc3\xa9"])
+    return st.one_of(st.binary(max_size=300),
+                     st.lists(tokens, max_size=80).map(lambda ts: header + b"".join(ts)))
 
 
 class TestKittiBin:
@@ -86,6 +96,20 @@ class TestPoseFile:
         p.write_text(line + "\n")
         pose = dio.load_pose_file(p)[0]
         np.testing.assert_allclose(pose.rotation.T @ pose.rotation, np.eye(3), atol=1e-12)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, tmp_path, value):
+        # NaN passes every orthonormality comparison, so it needs its own check
+        p = tmp_path / "poses.txt"
+        p.write_text(f"{value} 0 0 0 0 1 0 0 0 0 1 0\n")
+        with pytest.raises(MalformedFile, match=re.escape(f"{p}:1: ")):
+            dio.load_pose_file(p)
+
+    def test_not_utf8_names_file(self, tmp_path):
+        p = tmp_path / "poses.txt"
+        p.write_bytes(b"1 0 0 0 0 1 0 0 0 0 1 \xff\n")
+        with pytest.raises(MalformedFile, match=re.escape(str(p))):
+            dio.load_pose_file(p)
 
     def test_large_violation_rejected(self, tmp_path):
         bad = np.eye(3) * 1.1
@@ -238,6 +262,25 @@ class TestPairsFile:
             dio.read_pairs_file(p)
 
 
+    def test_not_utf8_names_file(self, tmp_path):
+        p = tmp_path / "pairs.csv"
+        p.write_bytes(b"i,j,distance_m,overlap\n0,1,12.0,0.5\xe9\n")
+        with pytest.raises(MalformedFile, match=re.escape(str(p))):
+            dio.read_pairs_file(p)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=file_bytes(b"i,j,distance_m,overlap\n"))
+    def test_fuzzed_bytes_read_or_malformed(self, tmp_path, data):
+        p = tmp_path / "pairs.csv"
+        p.write_bytes(data)
+        try:
+            records = dio.read_pairs_file(p)
+        except MalformedFile:
+            return
+        assert isinstance(records, list)
+
+
 class TestDatasetDirectory:
     def test_save_load_round_trip(self, tmp_path, rng):
         clouds = [rng.uniform(-10, 10, (40, 3)).astype(np.float32).astype(np.float64)
@@ -257,4 +300,16 @@ class TestDatasetDirectory:
         dio.save_dataset(tmp_path / "ds", seq)
         (tmp_path / "ds" / "poses.txt").write_text("")
         with pytest.raises(MalformedFile):
+            dio.load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("meta", [b"{not json", b"\xff", b"[0]", b'{"seed": 7}',
+                                      b'{"frame_indices": [true, 1]}',
+                                      b'{"frame_indices": [1, 0]}'],
+                             ids=["not-json", "not-utf8", "not-object", "no-frame-indices",
+                                  "index-not-int", "not-increasing"])
+    def test_bad_meta_json(self, tmp_path, rng, meta):
+        seq = make_sequence([rng.uniform(-1, 1, (5, 3))] * 2, [g.RigidTransform.identity()] * 2)
+        dio.save_dataset(tmp_path / "ds", seq)
+        (tmp_path / "ds" / "meta.json").write_bytes(meta)
+        with pytest.raises(MalformedFile, match=re.escape(str(tmp_path / "ds"))):
             dio.load_dataset(tmp_path / "ds")

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from distreg import register as reg
 from distreg.errors import (
@@ -410,7 +410,7 @@ class TestEvaluate:
 class TestRecallAndExport:
     def _result(self, rre, rte):
         flags = {c.name: bool(rre <= c.max_rre and rte <= c.max_rte) for c in reg.CRITERIA}
-        return reg.RegistrationResult(RigidTransform.identity(), rre, rte, 0, flags)
+        return reg.PairResult(-1, -1, float("nan"), float("nan"), rre, rte, flags)
 
     def test_recall_all_success(self):
         rs = [self._result(0.1, 0.05)] * 4
@@ -471,6 +471,36 @@ class TestRecallAndExport:
         p.write_text(p.read_text() + ",".join(row) + "\n")
         with pytest.raises(MalformedFile, match=re.escape(f"{p}:3: ")):
             reg.read_results(p)
+
+    @pytest.mark.parametrize("row", [b"0,9,12.5,0.25,0.8,0.3,1,1,0,4\xb2\r\n",
+                                     b"0," + b"9" * (1 << 18)],
+                             ids=["not-utf8", "over-csv-field-limit"])
+    def test_results_unreadable_names_file(self, tmp_path, row):
+        p = tmp_path / "results.csv"
+        reg.write_results(p, [reg.PairResult(0, 9, 12.5, 0.25, 0.8, 0.3,
+                                             {"loose": True, "normal": True, "strict": False},
+                                             42)])
+        p.write_bytes(p.read_bytes() + row)
+        with pytest.raises(MalformedFile, match=re.escape(str(p))):
+            reg.read_results(p)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.one_of(
+        st.binary(max_size=300),
+        st.lists(st.sampled_from([b"0", b"1", b"2", b"-", b".", b"e", b"nan", b",", b"\r\n",
+                                  b"\n", b"\r", b" ", b'"', b"\xff", b"\x00", b"\xc3\xa9"]),
+                 max_size=80).map(lambda ts: (
+                     b"i,j,distance_m,overlap,rre_deg,rte_m,"
+                     b"success_loose,success_normal,success_strict,inliers\r\n" + b"".join(ts)))))
+    def test_results_fuzzed_bytes_read_or_malformed(self, tmp_path, data):
+        p = tmp_path / "results.csv"
+        p.write_bytes(data)
+        try:
+            records = reg.read_results(p)
+        except MalformedFile:
+            return
+        assert isinstance(records, list)
 
     def test_summary_aggregates(self):
         records = [
