@@ -24,7 +24,6 @@ from .geometry import (
     NeighborIndex,
     RigidTransform,
     apply_transform,
-    kabsch,
     overlap_ratio,
     rre,
     rte,

@@ -4,11 +4,9 @@ Configuration precedence is flags > config file > defaults. The config
 file is flat ``key=value`` text whose keys mirror the flag names; unknown
 keys are rejected.
 
-Exit codes: 0 success, 2 usage, 3 I/O (also a malformed input file), 4
-empty-result guard (also no training pairs or positives, an empty point
-cloud, a cloud with fewer points than the model's ``k``, a key frame with
-no neighbouring frames to aggregate, and an evaluated pair with too few
-feature matches for RANSAC), 5 numeric failure.
+Exit code 0 is success and 3 an ``OSError``. Every other failure is a
+``DistregError``, and the CLI exits with its class's ``exit_code``: see
+``errors.py`` for the codes and the README for the table.
 """
 
 from __future__ import annotations
@@ -24,34 +22,19 @@ import numpy as np
 from . import dataio, model as mdl, pipeline, register, simulate
 from .aggregate import ApgConfig
 from .errors import (
+    CliIOError,
     DistregError,
-    EmptyCloud,
-    EmptyResults,
+    EmptyResultGuard,
     MalformedFile,
-    NoNeighborFrames,
-    NonFinite,
-    NonFiniteLoss,
     NoPairs,
-    NoPositives,
-    NonRigidPose,
-    TooFewCorrespondences,
-    TooFewPoints,
+    UsageError,
 )
 from .losses import LossConfig
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_IO = 3
-EXIT_EMPTY = 4
-EXIT_NUMERIC = 5
 
-
-class CliIOError(DistregError):
-    """I/O precondition failure surfaced to the user (exit 3)."""
-
-
-class EmptyResultGuard(DistregError):
-    """--require-nonempty hit an empty result (exit 4)."""
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
 # ---------------------------------------------------------------------------
@@ -188,27 +171,32 @@ def _merge_config(parser, sub, argv, args):
     unknown = sorted(set(file_vals) - set(known))
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    converted = {}
-    for key, raw in file_vals.items():
-        action = known[key]
-        if isinstance(action, argparse._StoreTrueAction):
-            converted[key] = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            converted[key] = action.type(raw)
-        else:
-            converted[key] = raw
+    converted = {key: _config_value(args.config, key, raw, known[key])
+                 for key, raw in file_vals.items()}
     sub.set_defaults(**converted)
     return parser.parse_args(argv)
 
 
-class UsageError(DistregError):
-    pass
+def _config_value(path, key: str, raw: str, action):
+    """One config-file value, converted and checked as its flag would be."""
+    if isinstance(action, argparse._StoreTrueAction):
+        if raw.lower() in _TRUE + _FALSE:
+            return raw.lower() in _TRUE
+    else:
+        try:
+            value = raw if action.type is None else action.type(raw)
+        except ValueError:
+            pass
+        else:
+            if action.choices is None or value in action.choices:
+                return value
+    raise UsageError(f"{path}: bad value for {key}: {raw!r}")
 
 
 @contextmanager
 def _usage_errors():
     """Report a ValueError raised while building a run's configuration as a
-    UsageError (exit 2). Used before any data is loaded."""
+    UsageError. Used before any data is loaded."""
     try:
         yield
     except ValueError as exc:
@@ -463,19 +451,12 @@ def main(argv=None) -> int:
             except SystemExit as exc:
                 return int(exc.code or 0)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CliIOError, OSError, MalformedFile, NonRigidPose) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (EmptyResultGuard, NoPairs, NoPositives, EmptyResults, TooFewPoints,
-            TooFewCorrespondences, EmptyCloud, NoNeighborFrames) as exc:
+    except DistregError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except (NonFiniteLoss, NonFinite) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return exc.exit_code
 
 
 def entrypoint() -> None:

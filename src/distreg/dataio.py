@@ -75,8 +75,10 @@ def load_kitti_bin(path) -> Points:
     raw = Path(path).read_bytes()
     if len(raw) % 16 != 0:
         raise MalformedFile(f"{path}: size {len(raw)} is not a multiple of 16 bytes")
-    records = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
-    return records[:, :3].astype(np.float64)
+    points = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)[:, :3].astype(np.float64)
+    if not np.isfinite(points).all():
+        raise MalformedFile(f"{path}: non-finite coordinate")
+    return points
 
 
 def write_kitti_bin(path, cloud, reflectance=None) -> None:

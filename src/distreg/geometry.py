@@ -44,7 +44,8 @@ def as_points(points, *, allow_empty: bool = True) -> Points:
 class RigidTransform:
     """Proper rigid motion: rotation in SO(3) plus translation in meters.
 
-    Validates orthonormality and det = +1 to 1e-9 on construction.
+    Validates orthonormality and det = +1 to 1e-9, and a finite
+    translation, on construction.
     """
 
     rotation: Mat3
@@ -54,11 +55,13 @@ class RigidTransform:
         R = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         err = np.abs(R.T @ R - np.eye(3)).max()
-        if err > _ORTHONORMALITY_TOL:
+        if not err <= _ORTHONORMALITY_TOL:
             raise ValueError(f"rotation not orthonormal (max deviation {err:.3e})")
         det = np.linalg.det(R)
-        if abs(det - 1.0) > _ORTHONORMALITY_TOL:
+        if not abs(det - 1.0) <= _ORTHONORMALITY_TOL:
             raise ValueError(f"rotation determinant {det:.12f} != +1")
+        if not np.isfinite(t).all():
+            raise ValueError(f"translation not finite: {t}")
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
 
@@ -86,23 +89,12 @@ class RigidTransform:
 
 @dataclass(frozen=True)
 class Correspondences:
-    """Index pairs (into cloud A, into cloud B) with optional weights."""
+    """Index pairs (into cloud A, into cloud B)."""
 
-    pairs: NDArray[np.int64]                      # shape (K, 2)
-    weights: NDArray[np.float64] | None = None    # shape (K,), nonnegative
+    pairs: NDArray[np.int64]  # shape (K, 2)
 
     def __post_init__(self):
-        pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
-        object.__setattr__(self, "pairs", pairs)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-            if w.shape[0] != pairs.shape[0]:
-                raise ValueError("weights must match the number of pairs")
-            if (w < 0).any():
-                raise ValueError("weights must be nonnegative")
-            if pairs.shape[0] and not (w > 0).any():
-                raise ValueError("weights must not all be zero")
-            object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "pairs", np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2))
 
     def __len__(self) -> int:
         return self.pairs.shape[0]
@@ -198,12 +190,12 @@ def random_transform(rng: np.random.Generator, translation_scale: float = 1.0) -
     )
 
 
-def kabsch_points(src: Points, dst: Points, weights=None) -> RigidTransform:
+def kabsch_points(src: Points, dst: Points) -> RigidTransform:
     """Least-squares rigid fit src→dst for row-aligned point arrays.
 
     Reflections are excluded by sign-corrected SVD; raises
-    DegenerateGeometry when the weighted covariance has rank < 2
-    (second singular value below 1e-12 of the first).
+    DegenerateGeometry when the covariance has rank < 2 (second singular
+    value below 1e-12 of the first).
     """
     a = as_points(src)
     b = as_points(dst)
@@ -211,11 +203,7 @@ def kabsch_points(src: Points, dst: Points, weights=None) -> RigidTransform:
         raise ValueError("source and destination must be row-aligned")
     if a.shape[0] < 3:
         raise DegenerateGeometry("need at least 3 correspondence points")
-    if weights is None:
-        w = np.full(a.shape[0], 1.0 / a.shape[0])
-    else:
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
-        w = w / w.sum()
+    w = np.full(a.shape[0], 1.0 / a.shape[0])
     ca = w @ a
     cb = w @ b
     a0 = a - ca
@@ -228,14 +216,6 @@ def kabsch_points(src: Points, dst: Points, weights=None) -> RigidTransform:
     R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
     t = cb - R @ ca
     return RigidTransform(R, t)
-
-
-def kabsch(corr: Correspondences, cloud_a, cloud_b) -> RigidTransform:
-    """Weighted rigid fit minimizing Σ w_k ||R·a_k + t − b_k||²."""
-    a = as_points(cloud_a)
-    b = as_points(cloud_b)
-    corr.validate_against(a.shape[0], b.shape[0])
-    return kabsch_points(a[corr.pairs[:, 0]], b[corr.pairs[:, 1]], corr.weights)
 
 
 def voxel_downsample(cloud, voxel_size: float) -> Points:

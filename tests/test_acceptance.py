@@ -35,11 +35,10 @@ def test_criterion_1_geometry_oracles():
 
     # Kabsch exact recovery over 100 random rigid transforms
     cloud = rng.uniform(-10, 10, (50, 3))
-    corr = g.Correspondences(np.stack([np.arange(50)] * 2, axis=1))
     for _ in range(100):
         t_gt = g.random_transform(rng, 5.0)
         moved = g.apply_transform(cloud, t_gt)
-        t_est = g.kabsch(corr, cloud, moved)
+        t_est = g.kabsch_points(cloud, moved)
         assert g.relative_rotation_angle_deg(t_est.rotation, t_gt.rotation) < 1e-6
         assert g.rte(t_est.translation, t_gt.translation) < 1e-9
 

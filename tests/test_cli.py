@@ -1,11 +1,12 @@
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from distreg import cli, dataio, model as mdl, pipeline, register as reg
-from distreg.errors import MalformedFile
+from distreg.errors import DistregError, MalformedFile
 
 
 def run(args):
@@ -63,6 +64,68 @@ class TestUsage:
         cfg.write_text("bogus-key=1\n")
         assert run(["distill", "--dataset", dataset, "--out", tmp_path / "p.csv",
                     "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("command,line", [
+        (["distill", "--dataset", "ds"], "d1=abc"),
+        (["distill", "--dataset", "ds"], "require-nonempty=maybe"),
+        (["simulate"], "seed=abc"),
+        (["evaluate", "--dataset", "ds", "--pairs", "p.csv"], "criterion=bogus"),
+    ], ids=["float", "store-true", "int", "choice"])
+    def test_bad_config_value_usage_error(self, tmp_path, capsys, command, line):
+        # rejected before any input is read: none of the named inputs exists
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# run settings\n{line}\n")
+        out = tmp_path / "out"
+        assert run([*command, "--config", cfg, "--out", out]) == 2
+        key, _, value = line.partition("=")
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {cfg}: bad value for {key.replace('-', '_')}: {value!r}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value,expected", [("yes", True), ("ON", True), ("0", False),
+                                                ("off", False)])
+    def test_config_store_true_values(self, value, expected, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"require-nonempty={value}\n")
+        parser, commands = cli.build_parser()
+        argv = ["distill", "--dataset", "ds", "--config", str(cfg), "--out", "p.csv"]
+        args = cli._merge_config(parser, commands["distill"], argv, parser.parse_args(argv))
+        assert args.require_nonempty is expected
+
+
+class TestExitCodes:
+    """Each error class carries its exit code, and the README table lists
+    exactly the classes with each code."""
+
+    @staticmethod
+    def _error_classes():
+        seen, todo = [], [DistregError]
+        while todo:
+            cls = todo.pop()
+            seen.append(cls)
+            todo.extend(cls.__subclasses__())
+        return seen
+
+    def test_every_class_has_a_documented_code(self):
+        for cls in self._error_classes():
+            assert cls.exit_code in {1, 2, 3, 4, 5}, cls
+
+    def test_readme_table_matches_classes(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        table = {}
+        for row in re.findall(r"^\| (\d) \|.*\|(.*)\|$", readme.read_text(), re.M):
+            table[int(row[0])] = set(re.findall(r"`(\w+)`", row[1]))
+        expected = {code: set() for code in range(6)}
+        for cls in self._error_classes():
+            expected[cls.exit_code].add(cls.__name__)
+        assert table == expected
+
+    def test_unmapped_error_exits_1(self, monkeypatch, capsys):
+        def fail(args):
+            raise DistregError("broken invariant")
+        monkeypatch.setattr(cli, "cmd_simulate", fail)
+        assert run(["simulate", "--out", "unused"]) == 1
+        assert capsys.readouterr().err == "error: broken invariant\n"
 
 
 class TestSimulate:
@@ -403,6 +466,16 @@ class TestMalformedInput:
             cli.load_config_file(cfg)
         self._expect_exit_3(["distill", "--dataset", dataset, "--config", cfg,
                              "--out", tmp_path / "p.csv"], cfg, capsys)
+
+    def test_nan_coordinate_in_point_file(self, dataset, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset, ds)
+        records = np.fromfile(ds / "000003.bin", dtype="<f4")
+        records[5] = np.nan  # the y coordinate of the second point
+        records.tofile(ds / "000003.bin")
+        self._expect_exit_3(["distill", "--dataset", ds, "--out", tmp_path / "p.csv"],
+                            ds / "000003.bin", capsys)
+        assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("meta", [b"{not json", b'{"seed": 4}'],
                              ids=["not-json", "no-frame-indices"])
