@@ -38,8 +38,9 @@ class ApgConfig:
     def __post_init__(self):
         if self.psi < 1:
             raise ValueError("psi must be >= 1")
-        if min(self.alpha, self.scope_radius, self.voxel_size) <= 0:
-            raise ValueError("alpha, scope_radius, voxel_size must be positive")
+        for name in ("alpha", "scope_radius", "voxel_size"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)

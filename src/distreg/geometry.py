@@ -223,20 +223,27 @@ def voxel_downsample(cloud, voxel_size: float) -> Points:
 
     The cell of point p is (⌊x/s⌋, ⌊y/s⌋, ⌊z/s⌋). Output is ordered by
     lexicographically sorted cell coordinates, so the result does not
-    depend on input ordering.
+    depend on input ordering. Each centroid sums its members in input
+    order. Raises ValueError when a cell coordinate does not fit in int64.
     """
-    if voxel_size <= 0:
+    if not voxel_size > 0:
         raise ValueError("voxel_size must be positive")
     pts = as_points(cloud)
     if pts.shape[0] == 0:
         return pts
-    cells = np.floor(pts / voxel_size).astype(np.int64)
-    uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    sums = np.zeros((uniq.shape[0], 3))
-    np.add.at(sums, inverse, pts)
-    counts = np.bincount(inverse, minlength=uniq.shape[0]).astype(np.float64)
-    return sums / counts[:, None]
+    scaled = np.floor(pts / voxel_size)
+    if not (scaled.min() >= -2.0**63 and scaled.max() < 2.0**63):
+        raise ValueError("voxel cell coordinates overflow int64; voxel_size too small")
+    cells = scaled.astype(np.int64)
+    order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
+    ranked = cells[order]
+    starts = np.empty(len(order), dtype=bool)
+    starts[0] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    sums = np.stack([np.bincount(inverse, weights=pts[:, d]) for d in range(3)], axis=1)
+    return sums / np.bincount(inverse).astype(np.float64)[:, None]
 
 
 def overlap_ratio(cloud_a, cloud_b, transform: RigidTransform, tau: float) -> float:
@@ -264,22 +271,13 @@ def rre(rotation_est: Mat3, rotation_gt: Mat3) -> float:
 
     Uses the standard arccos-of-trace form. Note its conditioning floor:
     even identical matrices can report up to ~2e-6 degrees because
-    arccos(1-eps) ~ sqrt(2 eps); use relative_rotation_angle_deg when
-    measuring near-zero angles.
+    arccos(1-eps) ~ sqrt(2 eps); near-zero angles need the atan2 form over
+    the antisymmetric part of R_gt^T R_est instead.
     """
     r_est = np.asarray(rotation_est, dtype=np.float64)
     r_gt = np.asarray(rotation_gt, dtype=np.float64)
     c = (np.trace(r_gt.T @ r_est) - 1.0) / 2.0
     return float(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
-
-
-def relative_rotation_angle_deg(rotation_a: Mat3, rotation_b: Mat3) -> float:
-    """Relative rotation angle via atan2 of the antisymmetric part;
-    well-conditioned near zero, unlike the arccos form."""
-    m = np.asarray(rotation_a, dtype=np.float64).T @ np.asarray(rotation_b, dtype=np.float64)
-    s = 0.5 * np.linalg.norm([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-    c = (np.trace(m) - 1.0) / 2.0
-    return float(np.degrees(np.arctan2(s, c)))
 
 
 def rte(t_est, t_gt) -> float:

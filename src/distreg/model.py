@@ -187,17 +187,18 @@ def _mlp_forward(x: np.ndarray, layers) -> tuple[np.ndarray, list[np.ndarray]]:
 
 def _mlp_backward(layers, inputs, d: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Gradients of sum(d * output) for every tensor of ``layers`` (same
-    order) and for the MLP's input. Only the weight-gradient products and
-    the bias sums flatten the leading axes; ``d @ w`` keeps its shape."""
+    order) and for the first layer's output; a caller that needs the MLP's
+    input gradient multiplies the latter by ``layers[0]``. Only the
+    weight-gradient products and the bias sums flatten the leading axes;
+    ``d @ w`` keeps its shape."""
     grads: list = [None] * len(layers)
     for i in range(len(layers) - 2, -1, -2):
         x = inputs[i // 2]
         flat = d.reshape(-1, d.shape[-1])
         grads[i] = flat.T @ x.reshape(-1, x.shape[-1])
         grads[i + 1] = flat.sum(axis=0)
-        d = d @ layers[i]
         if i:
-            d = d * (x > 0)
+            d = (d @ layers[i]) * (x > 0)
     return grads, d
 
 
@@ -243,8 +244,10 @@ def _pool_forward(idx, gather, own, layers, keep: bool):
 
 def _pool_backward(layers, cache: PoolCache, d: np.ndarray):
     """Gradients of sum(d * out) for the block's eight tensors (in layer
-    order), for the per-neighbor inputs (N, k, d) and for ``own``."""
+    order), for the per-neighbor first-layer outputs (N, k, h1) and for
+    ``own``."""
     post_grads, dz = _mlp_backward(layers[4:], cache.post_inputs, d)
+    dz = dz @ layers[4]
     z = cache.post_inputs[0]
     h2 = z.shape[1] // 2
     # max-pool: route each channel's gradient to its winning neighbor, if
@@ -380,18 +383,19 @@ def decoder_backward(
     dout = np.asarray(d_offsets, dtype=np.float64).reshape(cache.n_points, -1)
 
     if params.variant == "asymmetric":
-        grads, dfm = _mlp_backward(params.layers, cache.inputs, dout)
+        grads, da1 = _mlp_backward(params.layers, cache.inputs, dout)
         last_first = [j for i in range(len(grads) - 2, -1, -2) for j in (i, i + 1)]
-        return {f"dec.t{j}": grads[j] for j in last_first}, dfm
+        return {f"dec.t{j}": grads[j] for j in last_first}, da1 @ params.layers[0]
 
-    grads, d_nbr, down = _pool_backward(params.layers, cache.pool, dout)
+    grads, da1_nbr, down = _pool_backward(params.layers, cache.pool, dout)
     own = cache.pool.post_inputs[0][:, down.shape[1]:]
-    own_grads, d_own = _mlp_backward(params.layers[:4], cache.inputs, down * (own > 0))
+    own_grads, da1_own = _mlp_backward(params.layers[:4], cache.inputs, down * (own > 0))
     for j, g in enumerate(own_grads):
         grads[j] += g
     dfm = np.zeros(cache.inputs[0].shape)
-    np.add.at(dfm, cache.pool.idx.reshape(-1), d_nbr.reshape(-1, dfm.shape[1]))
-    dfm += d_own
+    np.add.at(dfm, cache.pool.idx.reshape(-1),
+              (da1_nbr @ params.layers[0]).reshape(-1, dfm.shape[1]))
+    dfm += da1_own @ params.layers[0]
     return {f"dec.t{j}": g for j, g in enumerate(grads)}, dfm
 
 

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import relative_rotation_angle_deg
 
 from distreg import cli, dataio, geometry as g, losses as lo, model as mdl
 from distreg import aggregate as agg
@@ -39,7 +40,7 @@ def test_criterion_1_geometry_oracles():
         t_gt = g.random_transform(rng, 5.0)
         moved = g.apply_transform(cloud, t_gt)
         t_est = g.kabsch_points(cloud, moved)
-        assert g.relative_rotation_angle_deg(t_est.rotation, t_gt.rotation) < 1e-6
+        assert relative_rotation_angle_deg(t_est.rotation, t_gt.rotation) < 1e-6
         assert g.rte(t_est.translation, t_gt.translation) < 1e-9
 
     # kd-tree equals brute force on 100 random query sets

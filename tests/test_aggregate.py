@@ -28,6 +28,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             agg.DisturbConfig(-1)
 
+    @pytest.mark.parametrize("field", ["alpha", "scope_radius", "voxel_size"])
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0])
+    def test_rejects_nan_and_non_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            agg.ApgConfig(**{field: value})
+
 
 class TestSelectNonkeyFrames:
     def test_uniform_motion_selects_multiples_of_alpha(self, small_scene):

@@ -252,7 +252,10 @@ class TestTrain:
     @pytest.mark.parametrize("flag,value", [("--epochs", 0), ("--momentum", 1),
                                             ("--decoder-hidden", "x"), ("--k", 0),
                                             ("--m-pos", 2), ("--psi", 0),
-                                            ("--n-disturb", -1)])
+                                            ("--n-disturb", -1), ("--voxel-size", "nan"),
+                                            ("--alpha", "nan"), ("--scope-radius", "nan"),
+                                            ("--input-voxel-size", "nan"),
+                                            ("--input-voxel-size", -1)])
     def test_bad_train_config_usage_error(self, dataset, pairs_file, tmp_path, capsys,
                                           flag, value):
         out = tmp_path / "x.ckpt"
@@ -387,6 +390,7 @@ class TestEvaluate:
         ["--density-ratios", "1.5"], ["--density-ratios", "abc"],
         ["--bins", "5"], ["--bins", "x:y"], ["--bins", "9:4"], ["--bins", "4:9,6:14"],
         ["--density-ratios", "0.5", "--bins", "4:9"], ["--density-ratios", "0.5", "--oracle-gt"],
+        ["--input-voxel-size", "nan"], ["--input-voxel-size", "-1"],
     ], ids=lambda extra: "-".join(a.lstrip("-") for a in extra))
     def test_bad_protocol_usage_error(self, dataset, pairs_file, checkpoint, tmp_path,
                                       capsys, extra):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import relative_rotation_angle_deg
 from hypothesis import given, settings, strategies as st
 
 from distreg import geometry as g
@@ -97,7 +98,7 @@ class TestKabsch:
             t_gt = g.random_transform(rng, 5.0)
             moved = g.apply_transform(pts, t_gt)
             t_est = g.kabsch_points(pts, moved)
-            assert g.relative_rotation_angle_deg(t_est.rotation, t_gt.rotation) < 1e-6
+            assert relative_rotation_angle_deg(t_est.rotation, t_gt.rotation) < 1e-6
             assert g.rte(t_est.translation, t_gt.translation) < 1e-9
 
     def test_collinear_raises(self):
@@ -204,6 +205,75 @@ class TestVoxelDownsample:
     def test_rejects_bad_voxel_size(self):
         with pytest.raises(ValueError):
             g.voxel_downsample(np.zeros((1, 3)), 0.0)
+
+    @pytest.mark.parametrize("voxel_size", [float("nan"), -0.5])
+    def test_rejects_nan_and_negative_voxel_size(self, voxel_size):
+        with pytest.raises(ValueError, match="positive"):
+            g.voxel_downsample(np.zeros((2, 3)), voxel_size)
+
+    @pytest.mark.parametrize("point,voxel_size", [
+        ((1e10, 0.0, 0.0), 1e-12),
+        ((0.0, -1e10, 0.0), 1e-12),
+        ((0.0, 0.0, 2.0**63), 1.0),
+        # the division itself overflows to inf
+        pytest.param((1e300, 0.0, 0.0), 1e-300,
+                     marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
+    ])
+    def test_rejects_cells_beyond_int64(self, point, voxel_size):
+        with pytest.raises(ValueError, match="int64"):
+            g.voxel_downsample([point, (0.0, 0.0, 0.0)], voxel_size)
+
+    def test_int64_edge_cell_accepted(self):
+        out = g.voxel_downsample([(-(2.0**63), 0.0, 0.0), (0.0, 2.0**62, 0.0)], 1.0)
+        assert out.shape == (2, 3)
+
+    def test_matches_reference_on_scans(self, small_scene):
+        _, _, seq = small_scene
+        for frame in list(seq)[::10]:
+            for voxel_size in (0.05, 0.3, 2.0):
+                ref = _voxel_reference(frame.cloud, voxel_size)
+                assert g.voxel_downsample(frame.cloud, voxel_size).tobytes() == ref.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.data())
+    def test_matches_reference_bytes(self, case):
+        pts, voxel_size = case.draw(_voxel_clouds())
+        out = g.voxel_downsample(pts, voxel_size)
+        ref = _voxel_reference(pts, voxel_size)
+        assert out.shape == ref.shape and out.flags.c_contiguous
+        assert out.tobytes() == ref.tobytes()
+
+
+def _voxel_reference(cloud, voxel_size):
+    """The voxel grid by ``np.unique(axis=0)`` and ``np.add.at``. Both it and
+    ``voxel_downsample`` order cells lexicographically and sum each cell's
+    members in input order, so their outputs must agree to the byte."""
+    pts = g.as_points(cloud)
+    cells = np.floor(pts / voxel_size).astype(np.int64)
+    uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    sums = np.zeros((uniq.shape[0], 3))
+    np.add.at(sums, inverse, pts)
+    counts = np.bincount(inverse, minlength=uniq.shape[0]).astype(np.float64)
+    return sums / counts[:, None]
+
+
+@st.composite
+def _voxel_clouds(draw):
+    """Clouds of 1-60 points over a few cells with coordinates of either
+    sign, up to about 2^40 cells from the origin. A point sits at its cell's
+    lower corner, at the centre or anywhere inside, so cell boundaries and
+    duplicate points are common, and many points can share one cell."""
+    span = draw(st.sampled_from([1, 5, 1000, 2**20, 2**40]))
+    voxel_size = draw(st.sampled_from([0.05, 0.3, 1.0, 2.0, 7.3]))
+    coord = st.integers(-span, span)
+    cells = draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=8))
+    frac = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True)
+    rows = draw(st.lists(st.tuples(st.integers(0, len(cells) - 1), st.tuples(frac, frac, frac)),
+                         min_size=1, max_size=60))
+    pts = np.array([(np.array(cells[c], dtype=np.float64) + off) * voxel_size
+                    for c, off in rows])
+    return pts, voxel_size
 
 
 class TestOverlapRatio:

@@ -234,6 +234,14 @@ class TestEvaluationPaths:
         np.testing.assert_allclose(est.transform.rotation, np.eye(3), atol=1e-6)
         np.testing.assert_allclose(est.transform.translation, np.zeros(3), atol=1e-6)
 
+    @pytest.mark.parametrize("input_voxel_size", [float("nan"), -0.5])
+    def test_rejects_bad_input_voxel_size(self, toy_setup, trained, input_voxel_size):
+        with pytest.raises(ValueError, match="input_voxel_size"):
+            toy_config(input_voxel_size=input_voxel_size)
+        cloud = toy_setup[0][5].cloud
+        with pytest.raises(ValueError, match="input_voxel_size"):
+            pl.register_pair(cloud, cloud, trained, RansacConfig(iterations=10), input_voxel_size)
+
     def test_no_decoder_or_aggregation_on_eval_path(self, toy_setup, trained, monkeypatch):
         seq_a, seq_b, pairs = toy_setup
 

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import relative_rotation_angle_deg
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from distreg import register as reg
@@ -17,7 +18,6 @@ from distreg.geometry import (
     apply_transform,
     kabsch_points,
     random_transform,
-    relative_rotation_angle_deg,
 )
 
 
