@@ -41,6 +41,8 @@ class ApgConfig:
         for name in ("alpha", "scope_radius", "voxel_size"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not self.voxel_size < np.inf:
+            raise ValueError("voxel_size must be finite")
 
 
 @dataclass(frozen=True)

@@ -386,8 +386,8 @@ def cmd_evaluate(args) -> int:
     if not args.oracle_gt and not args.checkpoint:
         raise UsageError("--checkpoint is required unless --oracle-gt is set")
     with _usage_errors():
-        if not args.input_voxel_size >= 0:
-            raise ValueError("--input-voxel-size must be >= 0")
+        if not 0 <= args.input_voxel_size < np.inf:
+            raise ValueError("--input-voxel-size must be >= 0 and finite")
         ransac = register.RansacConfig(iterations=args.ransac_iterations,
                                        inlier_threshold=args.inlier_threshold, seed=args.seed)
         bins = ratios = None

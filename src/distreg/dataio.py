@@ -9,6 +9,8 @@ File formats:
 from __future__ import annotations
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -162,14 +164,23 @@ def distill_records(
     as the two vehicles; each unordered pair is emitted once (i < j).
     Each frame's cloud is indexed once, and every overlap test of that
     frame queries the same index.
+
+    The overlap tests run on a thread pool with one thread per CPU this
+    process may use (``os.sched_getaffinity``), one task per frame of
+    ``seq_a``; the kd-tree queries release the GIL. Tasks share only the
+    read-only indexes, and their rows are joined in frame order, so the
+    records, their order and their floats do not depend on the thread
+    count.
     """
     same = seq_a is seq_b
     index_a = [NeighborIndex(f.cloud) for f in seq_a]
     index_b = index_a if same else [NeighborIndex(f.cloud) for f in seq_b]
     origins_a = seq_a.origins()
     origins_b = seq_b.origins()
-    out = []
-    for pa, fa in enumerate(seq_a):
+
+    def row(pa: int) -> list[PairRecord]:
+        fa = seq_a[pa]
+        out = []
         for pb, fb in enumerate(seq_b):
             if same and pb <= pa:
                 continue
@@ -180,7 +191,11 @@ def distill_records(
             ov = overlap_ratio(index_a[pa], index_b[pb], gt, tau)
             if ov <= spec.overlap_max:
                 out.append(PairRecord(fa.index, fb.index, d, ov))
-    return out
+        return out
+
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        rows = list(pool.map(row, range(len(seq_a))))
+    return [record for records in rows for record in records]
 
 
 def write_pairs_file(path, records: list[PairRecord]) -> None:

@@ -224,10 +224,11 @@ def voxel_downsample(cloud, voxel_size: float) -> Points:
     The cell of point p is (⌊x/s⌋, ⌊y/s⌋, ⌊z/s⌋). Output is ordered by
     lexicographically sorted cell coordinates, so the result does not
     depend on input ordering. Each centroid sums its members in input
-    order. Raises ValueError when a cell coordinate does not fit in int64.
+    order. Raises ValueError when the size is not positive and finite, or
+    when a cell coordinate does not fit in int64.
     """
-    if not voxel_size > 0:
-        raise ValueError("voxel_size must be positive")
+    if not 0 < voxel_size < np.inf:
+        raise ValueError("voxel_size must be positive and finite")
     pts = as_points(cloud)
     if pts.shape[0] == 0:
         return pts

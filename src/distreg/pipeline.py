@@ -83,8 +83,8 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.n_disturb < 0:
             raise ValueError("n_disturb must be >= 0")
-        if not self.input_voxel_size >= 0:
-            raise ValueError("input_voxel_size must be >= 0")
+        if not 0 <= self.input_voxel_size < np.inf:
+            raise ValueError("input_voxel_size must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,8 @@ def clip_gradients(grads: mdl.Gradients, max_norm: float = GRAD_CLIP) -> mdl.Gra
 
 
 def _prepare_cloud(cloud, input_voxel_size: float) -> Points:
-    if not input_voxel_size >= 0:
-        raise ValueError("input_voxel_size must be >= 0")
+    if not 0 <= input_voxel_size < np.inf:
+        raise ValueError("input_voxel_size must be >= 0 and finite")
     if input_voxel_size > 0:
         return voxel_downsample(cloud, input_voxel_size)
     return as_points(cloud)

@@ -34,6 +34,10 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             agg.ApgConfig(**{field: value})
 
+    def test_rejects_infinite_voxel_size(self):
+        with pytest.raises(ValueError, match="voxel_size must be finite"):
+            agg.ApgConfig(voxel_size=float("inf"))
+
 
 class TestSelectNonkeyFrames:
     def test_uniform_motion_selects_multiples_of_alpha(self, small_scene):

@@ -264,6 +264,18 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--voxel-size", "--input-voxel-size"])
+    def test_infinite_voxel_size_names_flag(self, dataset, pairs_file, tmp_path, capsys, flag):
+        # an infinite size used to reach aggregation and exit 4 ("requires a
+        # non-empty cloud"); the message names the setting instead
+        out = tmp_path / "x.ckpt"
+        assert run(["train", "--dataset", dataset, "--pairs", pairs_file,
+                    flag, "inf", "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"{flag[2:].replace('-', '_')} must be" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [["--max-overlap", 0], ["--tau", 0],
                                        ["--tau", -1, "--curriculum-d2", 40]])
     def test_bad_curriculum_usage_error(self, tmp_path, capsys, flags):
@@ -401,6 +413,17 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert list(out_dir.iterdir()) == []
+
+    def test_infinite_input_voxel_size_names_flag(self, dataset, pairs_file, checkpoint,
+                                                  tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        out_dir.mkdir()
+        assert run(["evaluate", "--dataset", dataset, "--pairs", pairs_file,
+                    "--checkpoint", checkpoint, "--input-voxel-size", "inf",
+                    "--out", out_dir / "r.csv"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --input-voxel-size must be >= 0 and finite"]
         assert list(out_dir.iterdir()) == []
 
     def test_checkpoint_required_without_oracle(self, dataset, pairs_file, tmp_path):

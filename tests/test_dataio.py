@@ -1,4 +1,6 @@
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -239,6 +241,77 @@ class TestDistillPairs:
             assert r.distance == pytest.approx(float(d))
             assert 5.0 <= r.distance <= 15.0
             assert 0.0 <= r.overlap <= 1.0
+
+
+def serial_distill(seq_a, seq_b, spec, tau):
+    """The distill loop on one thread, one pair after another: the reference
+    the pooled ``distill_records`` must reproduce in order and to the bit."""
+    same = seq_a is seq_b
+    index_a = [g.NeighborIndex(f.cloud) for f in seq_a]
+    index_b = index_a if same else [g.NeighborIndex(f.cloud) for f in seq_b]
+    out = []
+    for pa, fa in enumerate(seq_a):
+        for pb, fb in enumerate(seq_b):
+            if same and pb <= pa:
+                continue
+            d = float(np.linalg.norm(fa.pose.translation - fb.pose.translation))
+            if not spec.d1 <= d <= spec.d2:
+                continue
+            gt = fb.pose.inverse().compose(fa.pose)
+            ov = g.overlap_ratio(index_a[pa], index_b[pb], gt, tau)
+            if ov <= spec.overlap_max:
+                out.append(dio.PairRecord(fa.index, fb.index, d, ov))
+    return out
+
+
+class TestPooledDistill:
+    """The pool's records equal the serial loop's, whatever the CPU count."""
+
+    @pytest.fixture(params=[1, 2, 5], ids=lambda n: f"{n}cpu")
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+        return request.param
+
+    def check(self, seq_a, seq_b, spec, tau=0.5):
+        expect = serial_distill(seq_a, seq_b, spec, tau)
+        threads = threading.active_count()
+        got = dio.distill_records(seq_a, seq_b, spec, tau)
+        assert threading.active_count() == threads
+        assert got == expect
+        return got
+
+    def test_cross_sequence(self, small_scene, cpus):
+        _, _, seq = small_scene
+        seq_a = dio.FrameSequence(seq.frames[:12])
+        seq_b = dio.FrameSequence(seq.frames[30:42])
+        got = self.check(seq_a, seq_b, dio.PairSpec(0.0, 100.0, 1.0))
+        assert len(got) == 12 * 12
+
+    def test_same_sequence(self, small_scene, cpus):
+        _, _, seq = small_scene
+        sub = dio.FrameSequence(seq.frames[:16])
+        got = self.check(sub, sub, dio.PairSpec(0.0, 100.0, 1.0))
+        assert len(got) == 16 * 15 // 2
+
+    @pytest.mark.parametrize("same,spec", [(False, dio.PairSpec(10.0, 30.0, 0.1)),
+                                           (True, dio.PairSpec(3.0, 12.0, 0.25))],
+                             ids=["cross", "same"])
+    def test_band_and_cap_drop_pairs(self, small_scene, cpus, same, spec):
+        _, _, seq = small_scene
+        seq_a = dio.FrameSequence(seq.frames[:20])
+        seq_b = seq_a if same else dio.FrameSequence(seq.frames[25:45])
+        in_band = serial_distill(seq_a, seq_b, dio.PairSpec(spec.d1, spec.d2, 1.0), 0.5)
+        candidates = 20 * 19 // 2 if same else 20 * 20
+        got = self.check(seq_a, seq_b, spec)
+        assert 0 < len(got) < len(in_band) < candidates
+
+    def test_nan_tau_raises_and_joins_workers(self, small_scene, cpus):
+        _, _, seq = small_scene
+        sub = dio.FrameSequence(seq.frames[:8])
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="tau"):
+            dio.distill_records(sub, sub, dio.PairSpec(0.0, 100.0, 1.0), tau=float("nan"))
+        assert threading.active_count() == threads
 
 
 class TestPairsFile:

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from conftest import relative_rotation_angle_deg
@@ -161,6 +164,29 @@ class TestNeighborIndex:
             for radius in (np.nextafter(r, 0.0), r, np.nextafter(r, np.inf)):
                 np.testing.assert_array_equal(idx.within(queries, radius), d < radius)
 
+    def test_concurrent_queries_equal_serial_bytes(self, rng):
+        # read-only queries from more threads than cores, with the interpreter
+        # switching threads as often as it can, give the serial answers
+        idx = g.NeighborIndex(rng.uniform(-10, 10, (3000, 3)))
+        batches = [rng.uniform(-12, 12, (400, 3)) for _ in range(16)]
+
+        def answers(queries):
+            d, i = idx.nearest(queries)
+            kd, ki = idx.knearest(queries, 7)
+            return [idx.within(queries, 0.6).tobytes(), d.tobytes(), i.tobytes(),
+                    kd.tobytes(), ki.tobytes()]
+
+        serial = [answers(q) for q in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(answers, q) for q in batches * 4]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial * 4
+
 
 class TestVoxelDownsample:
     def test_two_points_one_cell(self):
@@ -210,6 +236,11 @@ class TestVoxelDownsample:
     def test_rejects_nan_and_negative_voxel_size(self, voxel_size):
         with pytest.raises(ValueError, match="positive"):
             g.voxel_downsample(np.zeros((2, 3)), voxel_size)
+
+    def test_rejects_infinite_voxel_size(self):
+        # floor(p / inf) puts every point in one cell
+        with pytest.raises(ValueError, match="finite"):
+            g.voxel_downsample(np.ones((2, 3)), np.inf)
 
     @pytest.mark.parametrize("point,voxel_size", [
         ((1e10, 0.0, 0.0), 1e-12),

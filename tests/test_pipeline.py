@@ -234,7 +234,7 @@ class TestEvaluationPaths:
         np.testing.assert_allclose(est.transform.rotation, np.eye(3), atol=1e-6)
         np.testing.assert_allclose(est.transform.translation, np.zeros(3), atol=1e-6)
 
-    @pytest.mark.parametrize("input_voxel_size", [float("nan"), -0.5])
+    @pytest.mark.parametrize("input_voxel_size", [float("nan"), -0.5, float("inf")])
     def test_rejects_bad_input_voxel_size(self, toy_setup, trained, input_voxel_size):
         with pytest.raises(ValueError, match="input_voxel_size"):
             toy_config(input_voxel_size=input_voxel_size)
