@@ -20,7 +20,6 @@ from .dataio import (
     write_pose_file,
 )
 from .geometry import (
-    Correspondences,
     NeighborIndex,
     RigidTransform,
     apply_transform,
@@ -34,7 +33,6 @@ from .model import (
     DecoderParams,
     EncoderParams,
     ModelConfig,
-    ReconstructedCloud,
     backward,
     decoder_forward,
     encoder_forward,

@@ -39,10 +39,11 @@ class ApgConfig:
         if self.psi < 1:
             raise ValueError("psi must be >= 1")
         for name in ("alpha", "scope_radius", "voxel_size"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if not value > 0:
                 raise ValueError(f"{name} must be positive")
-        if not self.voxel_size < np.inf:
-            raise ValueError("voxel_size must be finite")
+            if not value < np.inf:
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

@@ -253,18 +253,19 @@ def _parse_bin(text: str) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    with _usage_errors():
+        world = simulate.simulate_world(args.seed, args.extent, args.obstacles)
+        lidar = simulate.LidarConfig(
+            azimuth_steps=args.azimuth_steps,
+            elevation_angles=tuple(np.linspace(args.ring_lo, args.ring_hi, args.rings)),
+            max_range=args.max_range,
+            range_noise_sigma=args.noise_sigma,
+        )
+        trajectory = simulate.line_trajectory(
+            (args.start_x, args.start_y), args.heading, args.spacing, args.frames, args.height)
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
         raise CliIOError(f"refusing to overwrite non-empty {out} (use --force)")
-    world = simulate.simulate_world(args.seed, args.extent, args.obstacles)
-    lidar = simulate.LidarConfig(
-        azimuth_steps=args.azimuth_steps,
-        elevation_angles=tuple(np.linspace(args.ring_lo, args.ring_hi, args.rings)),
-        max_range=args.max_range,
-        range_noise_sigma=args.noise_sigma,
-    )
-    trajectory = simulate.line_trajectory(
-        (args.start_x, args.start_y), args.heading, args.spacing, args.frames, args.height)
     seq = simulate.simulate_sequence(world, trajectory, lidar, seed=args.seed)
     meta = {
         "seed": args.seed, "extent": args.extent, "n_obstacles": args.obstacles,

@@ -151,6 +151,11 @@ class PairRecord:
     overlap: float
 
 
+def relative_gt(frame_a: Frame, frame_b: Frame) -> RigidTransform:
+    """Ground-truth transform mapping frame A sensor coords into frame B's."""
+    return frame_b.pose.inverse().compose(frame_a.pose)
+
+
 def distill_records(
     seq_a: FrameSequence,
     seq_b: FrameSequence,
@@ -187,8 +192,7 @@ def distill_records(
             d = float(np.linalg.norm(origins_a[pa] - origins_b[pb]))
             if not spec.d1 <= d <= spec.d2:
                 continue
-            gt = fb.pose.inverse().compose(fa.pose)
-            ov = overlap_ratio(index_a[pa], index_b[pb], gt, tau)
+            ov = overlap_ratio(index_a[pa], index_b[pb], relative_gt(fa, fb), tau)
             if ov <= spec.overlap_max:
                 out.append(PairRecord(fa.index, fb.index, d, ov))
         return out

@@ -87,27 +87,6 @@ class RigidTransform:
         return RigidTransform(Rt, -Rt @ self.translation)
 
 
-@dataclass(frozen=True)
-class Correspondences:
-    """Index pairs (into cloud A, into cloud B)."""
-
-    pairs: NDArray[np.int64]  # shape (K, 2)
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2))
-
-    def __len__(self) -> int:
-        return self.pairs.shape[0]
-
-    def validate_against(self, count_a: int, count_b: int) -> None:
-        p = self.pairs
-        if len(p) and (
-            p[:, 0].min() < 0 or p[:, 0].max() >= count_a
-            or p[:, 1].min() < 0 or p[:, 1].max() >= count_b
-        ):
-            raise ValueError("correspondence index out of range")
-
-
 class NeighborIndex:
     """Exact nearest-neighbor index over an immutable cloud snapshot.
 

@@ -24,9 +24,10 @@ class LossConfig:
     n_neg_candidates: int = 256  # negatives mined per anchor
 
     def __post_init__(self):
-        if min(self.lambda1, self.lambda2, self.m_p, self.m_n) < 0:
-            raise ValueError("weights and margins must be >= 0")
-        if self.m_n <= self.m_p:
+        for name in ("lambda1", "lambda2", "m_p", "m_n"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be >= 0 and finite")
+        if not self.m_n > self.m_p:
             raise ValueError("negative margin must exceed positive margin")
         if self.n_pos_pairs < 1 or self.n_neg_candidates < 1:
             raise ValueError("sampling sizes must be >= 1")
@@ -78,28 +79,28 @@ def l2_offset_reg(offsets) -> tuple[float, np.ndarray]:
 def _mine_hardest(
     anchors: np.ndarray,
     anchor_ids: np.ndarray,
+    partner_ids: np.ndarray,
     candidates: np.ndarray,
     candidate_ids: np.ndarray,
-    forbidden: set[tuple[int, int]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per anchor: distance to and column of the nearest non-corresponding
-    candidate. Anchors with no admissible candidate are masked out."""
+    candidate. Row p is the anchor side of the positive pair (anchor_ids[p],
+    partner_ids[p]); a candidate is corresponding for every row sharing that
+    anchor id. ``candidate_ids`` must be sorted and unique. Anchors with no
+    admissible candidate are masked out."""
     d2 = (
         np.sum(anchors * anchors, axis=1)[:, None]
         + np.sum(candidates * candidates, axis=1)[None, :]
         - 2.0 * anchors @ candidates.T
     )
     d = np.sqrt(np.maximum(d2, 0.0))
-    col_of = {int(cid): col for col, cid in enumerate(candidate_ids)}
-    rows_of: dict[int, list[int]] = {}
-    for row, aid in enumerate(anchor_ids):
-        rows_of.setdefault(int(aid), []).append(row)
-    for aid, cid in forbidden:
-        col = col_of.get(cid)
-        if col is None:
-            continue
-        for row in rows_of.get(aid, ()):
-            d[row, col] = np.inf
+    # one row per distinct anchor id, marking its partners among the candidates
+    _, group = np.unique(anchor_ids, return_inverse=True)
+    col = np.searchsorted(candidate_ids, partner_ids)
+    present = candidate_ids[np.minimum(col, len(candidate_ids) - 1)] == partner_ids
+    blocked = np.zeros((group.max() + 1, len(candidate_ids)), dtype=bool)
+    blocked[group[present], col[present]] = True
+    d[blocked[group]] = np.inf
     hardest_col = np.argmin(d, axis=1)
     hardest = d[np.arange(d.shape[0]), hardest_col]
     ok = np.isfinite(hardest)
@@ -129,8 +130,7 @@ def hardest_contrastive(
     fb = np.asarray(features_b, dtype=np.float64)
     if fa.ndim != 2 or fb.ndim != 2 or fa.shape[1] != fb.shape[1]:
         raise ValueError("feature maps must be 2-D with equal widths")
-    pairs = np.asarray(getattr(positive_pairs, "pairs", positive_pairs), dtype=np.int64)
-    pairs = pairs.reshape(-1, 2)
+    pairs = np.asarray(positive_pairs, dtype=np.int64).reshape(-1, 2)
     if pairs.shape[0] == 0:
         raise NoPositives("metric loss needs at least one positive pair")
     if rng is None:
@@ -139,18 +139,13 @@ def hardest_contrastive(
     if pairs.shape[0] > cfg.n_pos_pairs:
         keep = rng.choice(pairs.shape[0], size=cfg.n_pos_pairs, replace=False)
         pairs = pairs[np.sort(keep)]
-    if fa.shape[0] > cfg.n_neg_candidates:
-        cand_a = np.sort(rng.choice(fa.shape[0], size=cfg.n_neg_candidates, replace=False))
-    else:
-        cand_a = np.arange(fa.shape[0])
-    if fb.shape[0] > cfg.n_neg_candidates:
-        cand_b = np.sort(rng.choice(fb.shape[0], size=cfg.n_neg_candidates, replace=False))
-    else:
-        cand_b = np.arange(fb.shape[0])
+    cand_a, cand_b = [
+        np.sort(rng.choice(n, size=cfg.n_neg_candidates, replace=False))
+        if n > cfg.n_neg_candidates else np.arange(n)
+        for n in (fa.shape[0], fb.shape[0])
+    ]
 
     ia, ib = pairs[:, 0], pairs[:, 1]
-    pos_set = {(int(i), int(j)) for i, j in pairs}
-    pos_set_rev = {(j, i) for i, j in pos_set}
 
     ga = np.zeros_like(fa)
     gb = np.zeros_like(fb)
@@ -165,9 +160,10 @@ def hardest_contrastive(
     np.add.at(ga, ia, coeff[:, None] * diff)
     np.add.at(gb, ib, -coeff[:, None] * diff)
 
-    def negative_side(anchor_feats, anchor_ids, cand_feats, cand_ids, forbidden,
+    def negative_side(anchor_feats, anchor_ids, partner_ids, cand_feats, cand_ids,
                       g_anchor, g_cand, weight):
-        hardest, col, ok = _mine_hardest(anchor_feats, anchor_ids, cand_feats, cand_ids, forbidden)
+        hardest, col, ok = _mine_hardest(anchor_feats, anchor_ids, partner_ids, cand_feats,
+                                         cand_ids)
         n_ok = int(np.count_nonzero(ok))
         if n_ok == 0:
             return 0.0
@@ -183,8 +179,8 @@ def hardest_contrastive(
             np.add.at(g_cand, cand_ids[cols], -c[:, None] * dvec)
         return term
 
-    neg_a = negative_side(fa[ia], ia, fb[cand_b], cand_b, pos_set, ga, gb, 0.5)
-    neg_b = negative_side(fb[ib], ib, fa[cand_a], cand_a, pos_set_rev, gb, ga, 0.5)
+    neg_a = negative_side(fa[ia], ia, ib, fb[cand_b], cand_b, ga, gb, 0.5)
+    neg_b = negative_side(fb[ib], ib, ia, fa[cand_a], cand_a, gb, ga, 0.5)
 
     value = pos_term + 0.5 * (neg_a + neg_b)
     return value, ga, gb

@@ -403,30 +403,16 @@ def decoder_backward(
 # Fusion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReconstructedCloud:
-    """N*phi generated points with (source point, offset slot) provenance."""
-
-    points: Points
-    source_index: np.ndarray
-    slot: np.ndarray
-
-
-def fuse(cloud, offsets: np.ndarray) -> ReconstructedCloud:
-    """Point (i, j) = p_i + offset[i, j]; exact by construction."""
+def fuse(cloud, offsets: np.ndarray) -> Points:
+    """The (N·phi, 3) generated points of an (N, 3) cloud and its (N, phi, 3)
+    offsets: row i·phi + j is p_i + offset[i, j], exact by construction."""
     pts = as_points(cloud)
     off = np.asarray(offsets, dtype=np.float64)
     if off.ndim != 3 or off.shape[0] != pts.shape[0] or off.shape[2] != 3:
         raise ShapeMismatch(f"offsets shape {off.shape} incompatible with cloud {pts.shape}")
     if not np.isfinite(off).all():
         raise NonFinite("offsets contain non-finite values")
-    n, phi = off.shape[0], off.shape[1]
-    fused = (pts[:, None, :] + off).reshape(n * phi, 3)
-    return ReconstructedCloud(
-        points=fused,
-        source_index=np.repeat(np.arange(n, dtype=np.int64), phi),
-        slot=np.tile(np.arange(phi, dtype=np.int64), n),
-    )
+    return (pts[:, None, :] + off).reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------

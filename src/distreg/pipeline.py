@@ -21,10 +21,9 @@ from scipy.spatial import cKDTree
 
 from . import model as mdl
 from .aggregate import ApgConfig, DisturbConfig, generate_apc, select_nonkey_frames
-from .dataio import FrameSequence, PairRecord, PairSpec, distill_records
+from .dataio import FrameSequence, PairRecord, PairSpec, distill_records, relative_gt
 from .errors import NonFinite, NonFiniteLoss, NoPairs
 from .geometry import (
-    Correspondences,
     Points,
     RigidTransform,
     apply_transform,
@@ -77,8 +76,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
         if self.n_disturb < 0:
@@ -100,6 +99,8 @@ class CurriculumSpec:
     def __post_init__(self):
         if not self.tau > 0:
             raise ValueError("tau must be positive")
+        if not 0 <= self.d2 < np.inf:
+            raise ValueError("d2 must be >= 0 and finite")
         self.pair_specs()  # rejects a bad bin or overlap cap
 
     @property
@@ -151,11 +152,12 @@ def write_train_log(path, log: TrainLog) -> None:
 # Correspondence and validation helpers
 # ---------------------------------------------------------------------------
 
-def gt_correspondences(cloud_a, cloud_b, gt: RigidTransform, radius: float = 0.3) -> Correspondences:
+def gt_correspondences(cloud_a, cloud_b, gt: RigidTransform, radius: float = 0.3) -> np.ndarray:
     """Mutual-closest point pairs within ``radius`` after ground-truth
-    alignment of A onto B."""
+    alignment of the (N, 3) cloud A onto the (M, 3) cloud B: the (K, 2)
+    int64 array of (row of A, row of B) pairs."""
     pairs, d = mutual_nearest(apply_transform(as_points(cloud_a), gt), as_points(cloud_b))
-    return Correspondences(pairs[d < radius])
+    return pairs[d < radius]
 
 
 def feature_inlier_ratio(
@@ -168,7 +170,7 @@ def feature_inlier_ratio(
         return 0.0
     a = apply_transform(as_points(cloud_a), gt)
     b = as_points(cloud_b)
-    d = np.linalg.norm(a[matches.pairs[:, 0]] - b[matches.pairs[:, 1]], axis=1)
+    d = np.linalg.norm(a[matches[:, 0]] - b[matches[:, 1]], axis=1)
     return float(np.count_nonzero(d < radius)) / len(matches)
 
 
@@ -197,11 +199,6 @@ def _prepare_cloud(cloud, input_voxel_size: float) -> Points:
     return as_points(cloud)
 
 
-def relative_gt(frame_a, frame_b) -> RigidTransform:
-    """Ground-truth transform mapping frame A sensor coords into frame B's."""
-    return frame_b.pose.inverse().compose(frame_a.pose)
-
-
 # ---------------------------------------------------------------------------
 # Per-pair loss (the training step core; also the gradient-check target)
 # ---------------------------------------------------------------------------
@@ -211,7 +208,7 @@ def pair_loss_and_grads(
     cloud_b,
     apc_a,
     apc_b,
-    gt_pairs: Correspondences,
+    gt_pairs: np.ndarray,
     enc: mdl.EncoderParams,
     dec: mdl.DecoderParams,
     cfg: LossConfig,
@@ -237,8 +234,7 @@ def pair_loss_and_grads(
         dec_cache = d_off = None
         if run_decoder:
             offsets, dec_cache = mdl.decoder_forward_cached(feats, dec, cloud=cloud)
-            recon = mdl.fuse(cloud, offsets)
-            cd, d_recon = chamfer(recon.points, apc)
+            cd, d_recon = chamfer(mdl.fuse(cloud, offsets), apc)
             reg, d_reg = l2_offset_reg(offsets)
             l_cd += cd
             l_l2 += reg
@@ -260,7 +256,7 @@ class _PairContext:
     cloud_a: Points
     cloud_b: Points
     gt: RigidTransform
-    gt_pairs: Correspondences
+    gt_pairs: np.ndarray  # (K, 2) int64, from gt_correspondences
 
 
 def _build_pair_context(seq_a, seq_b, i, j, cfg: TrainConfig) -> _PairContext:

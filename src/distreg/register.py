@@ -19,7 +19,7 @@ from .errors import (
     MalformedFile,
     TooFewCorrespondences,
 )
-from .geometry import Correspondences, RigidTransform, as_points, kabsch_points, rre, rte
+from .geometry import RigidTransform, as_points, kabsch_points, rre, rte
 
 
 @dataclass(frozen=True)
@@ -96,15 +96,16 @@ def mutual_nearest(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return pairs.astype(np.int64), d_ab[mutual]
 
 
-def match_features(features_a, features_b) -> Correspondences:
-    """Mutual nearest neighbors in feature space."""
+def match_features(features_a, features_b) -> np.ndarray:
+    """Mutual nearest neighbors in feature space between (N, D) and (M, D)
+    maps: the (K, 2) int64 array of (row of A, row of B) pairs."""
     fa = np.asarray(features_a, dtype=np.float64)
     fb = np.asarray(features_b, dtype=np.float64)
     if fa.size == 0 or fb.size == 0:
         raise EmptyFeatureMap("both feature maps must be non-empty")
     if fa.ndim != 2 or fb.ndim != 2 or fa.shape[1] != fb.shape[1]:
         raise ValueError("feature maps must be 2-D with equal dimensions")
-    return Correspondences(mutual_nearest(fa, fb)[0])
+    return mutual_nearest(fa, fb)[0]
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -223,21 +224,25 @@ def _squared_residuals(R: np.ndarray, t: np.ndarray, src_t: np.ndarray,
     return d2
 
 
-def ransac_register(
-    corr: Correspondences, cloud_a, cloud_b, cfg: RansacConfig
-) -> RansacEstimate:
+def ransac_register(pairs, cloud_a, cloud_b, cfg: RansacConfig) -> RansacEstimate:
     """Best-of-iterations 3-point hypotheses scored by inlier count, then a
-    least-squares refit on the best inlier set. Deterministic given seed;
-    ties between hypotheses go to the earliest one."""
+    least-squares refit on the best inlier set. ``pairs`` is a (K, 2) int64
+    array of (row of A, row of B) matches into the (N, 3) and (M, 3) clouds;
+    an index outside them raises ValueError. Deterministic given seed; ties
+    between hypotheses go to the earliest one."""
     a = as_points(cloud_a)
     b = as_points(cloud_b)
-    corr.validate_against(a.shape[0], b.shape[0])
-    if len(corr) < 3:
-        raise TooFewCorrespondences(f"need >= 3 correspondences, got {len(corr)}")
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    n = pairs.shape[0]
+    # a negative index would wrap to the end of the cloud without an error
+    if n and not (pairs.min() >= 0 and pairs[:, 0].max() < a.shape[0]
+                  and pairs[:, 1].max() < b.shape[0]):
+        raise ValueError("correspondence index out of range")
+    if n < 3:
+        raise TooFewCorrespondences(f"need >= 3 correspondences, got {n}")
 
-    src = a[corr.pairs[:, 0]]
-    dst = b[corr.pairs[:, 1]]
-    n = len(corr)
+    src = a[pairs[:, 0]]
+    dst = b[pairs[:, 1]]
     rng = np.random.default_rng(cfg.seed)
     samples = rng.integers(0, n, size=(cfg.iterations, 3))
 

@@ -29,11 +29,14 @@ class LidarConfig:
     def __post_init__(self):
         if self.azimuth_steps < 8:
             raise ValueError("azimuth_steps must be >= 8")
-        if self.max_range <= 0:
-            raise ValueError("max_range must be positive")
-        if self.range_noise_sigma < 0:
-            raise ValueError("range_noise_sigma must be >= 0")
-        object.__setattr__(self, "elevation_angles", tuple(float(e) for e in self.elevation_angles))
+        if not 0 < self.max_range < np.inf:
+            raise ValueError("max_range must be positive and finite")
+        if not 0 <= self.range_noise_sigma < np.inf:
+            raise ValueError("range_noise_sigma must be >= 0 and finite")
+        angles = tuple(float(e) for e in self.elevation_angles)
+        if not angles or not np.isfinite(angles).all():
+            raise ValueError("elevation_angles must be one or more finite angles")
+        object.__setattr__(self, "elevation_angles", angles)
 
 
 @dataclass(frozen=True)
@@ -82,8 +85,8 @@ def simulate_world(seed: int, extent: float, n_obstacles: int) -> WorldModel:
 
     Obstacle kinds alternate between boxes and cylinders.
     """
-    if extent <= 0:
-        raise ValueError("extent must be positive")
+    if not 0 < extent < np.inf:
+        raise ValueError("extent must be positive and finite")
     if n_obstacles < 0:
         raise ValueError("n_obstacles must be >= 0")
     rng = np.random.default_rng(seed)
@@ -224,11 +227,14 @@ def line_trajectory(
     n_frames: int,
     height: float = 1.5,
 ) -> list[RigidTransform]:
-    """Straight path with the sensor yawed along the heading."""
+    """Straight path with the sensor yawed along the heading, ``height``
+    meters above the ground plane."""
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    if not 0 < spacing < np.inf:
+        raise ValueError("spacing must be positive and finite")
+    if not 0 < height < np.inf:
+        raise ValueError("height must be positive and finite")
     heading = np.radians(heading_deg)
     direction = np.array([np.cos(heading), np.sin(heading), 0.0])
     yaw = np.array(

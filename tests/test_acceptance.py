@@ -128,7 +128,7 @@ def test_criterion_3_gradient_check():
     cloud_a = rng.uniform(-3, 3, (n, 3))
     t_gt = g.random_transform(rng, 1.0)
     cloud_b = g.apply_transform(cloud_a, t_gt) + rng.normal(0, 0.05, (n, 3))
-    gt_pairs = g.Correspondences(np.stack([np.arange(n)] * 2, axis=1))
+    gt_pairs = np.stack([np.arange(n)] * 2, axis=1)
     apc_a = rng.uniform(-3, 3, (60, 3))
     apc_b = rng.uniform(-3, 3, (55, 3))
     loss_cfg = lo.LossConfig(lambda1=1.0, lambda2=0.1,
@@ -212,7 +212,7 @@ def test_criterion_4_aggregation_suite(small_scene):
 def test_criterion_5_ransac_robustness():
     t0 = time.time()
     successes = 0
-    corr = g.Correspondences(np.stack([np.arange(100)] * 2, axis=1))
+    corr = np.stack([np.arange(100)] * 2, axis=1)
     for seed in range(20):
         rng = np.random.default_rng(900 + seed)
         t_gt = g.random_transform(rng, 10.0)

@@ -38,6 +38,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="voxel_size must be finite"):
             agg.ApgConfig(voxel_size=float("inf"))
 
+    @pytest.mark.parametrize("field", ["alpha", "scope_radius"])
+    def test_rejects_infinite_spacing_and_scope(self, field):
+        # an infinite alpha would select the first frame on each side
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            agg.ApgConfig(**{field: float("inf")})
+
 
 class TestSelectNonkeyFrames:
     def test_uniform_motion_selects_multiples_of_alpha(self, small_scene):

@@ -144,6 +144,20 @@ class TestSimulate:
     def test_refuses_overwrite_without_force(self, dataset):
         assert run(["simulate", "--seed", 1, "--frames", 2, "--out", dataset]) == 3
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--frames", 0), ("--azimuth-steps", 4), ("--obstacles", -1), ("--height", 0),
+        ("--spacing", -1), ("--spacing", "nan"), ("--extent", -5), ("--extent", "nan"),
+        ("--noise-sigma", "nan"), ("--max-range", "nan"), ("--rings", 0),
+    ])
+    def test_bad_setting_usage_error(self, tmp_path, capsys, flag, value):
+        # rejected before anything is simulated: no output directory appears
+        out = tmp_path / "ds"
+        assert run(["simulate", "--frames", 2, "--azimuth-steps", 64, "--rings", 3,
+                    flag, value, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
     def test_force_overwrites(self, tmp_path):
         out = tmp_path / "ds"
         assert run(["simulate", "--seed", 1, "--frames", 2, "--azimuth-steps", 64,
@@ -255,7 +269,10 @@ class TestTrain:
                                             ("--n-disturb", -1), ("--voxel-size", "nan"),
                                             ("--alpha", "nan"), ("--scope-radius", "nan"),
                                             ("--input-voxel-size", "nan"),
-                                            ("--input-voxel-size", -1)])
+                                            ("--input-voxel-size", -1),
+                                            ("--lr", "nan"), ("--lr", "inf"),
+                                            ("--lambda1", "nan"), ("--m-pos", "nan"),
+                                            ("--alpha", "inf")])
     def test_bad_train_config_usage_error(self, dataset, pairs_file, tmp_path, capsys,
                                           flag, value):
         out = tmp_path / "x.ckpt"
@@ -277,7 +294,8 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--max-overlap", 0], ["--tau", 0],
-                                       ["--tau", -1, "--curriculum-d2", 40]])
+                                       ["--tau", -1, "--curriculum-d2", 40],
+                                       ["--curriculum-d2", "nan"]])
     def test_bad_curriculum_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "x.ckpt"
         assert run(["train", "--dataset", tmp_path / "nope", "--curriculum", *flags,

@@ -264,6 +264,20 @@ def serial_distill(seq_a, seq_b, spec, tau):
     return out
 
 
+class TestRelativeGt:
+    def test_maps_frame_a_coordinates_into_frame_b(self, rng):
+        pose_a, pose_b = g.random_transform(rng, 5.0), g.random_transform(rng, 5.0)
+        cloud = rng.uniform(-3, 3, (10, 3))
+        fa, fb = dio.Frame(cloud, pose_a, 0), dio.Frame(cloud, pose_b, 1)
+        expect = g.apply_transform(g.apply_transform(cloud, pose_a), pose_b.inverse())
+        np.testing.assert_allclose(dio.relative_gt(fa, fb).apply(cloud), expect, atol=1e-12)
+
+    def test_pipeline_uses_the_same_definition(self):
+        from distreg import pipeline
+
+        assert pipeline.relative_gt is dio.relative_gt
+
+
 class TestPooledDistill:
     """The pool's records equal the serial loop's, whatever the CPU count."""
 

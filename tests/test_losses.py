@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distreg import losses as lo
 from distreg.errors import EmptyCloud, NonFinite, NoPositives
@@ -118,6 +121,50 @@ def exhaustive_reference(fa, fb, pairs, cfg):
     return pos + 0.5 * (side(fa, fb, "a") + side(fb, fa, "b"))
 
 
+def set_dict_miner(anchors, anchor_ids, partner_ids, candidates, candidate_ids):
+    """The miner hardest_contrastive used before the boolean mask: a set of
+    forbidden (anchor id, candidate id) pairs, applied through a column dict
+    and per-anchor-id row lists. Kept as the reference for its bytes."""
+    forbidden = {(int(i), int(j)) for i, j in zip(anchor_ids, partner_ids)}
+    d2 = (
+        np.sum(anchors * anchors, axis=1)[:, None]
+        + np.sum(candidates * candidates, axis=1)[None, :]
+        - 2.0 * anchors @ candidates.T
+    )
+    d = np.sqrt(np.maximum(d2, 0.0))
+    col_of = {int(cid): col for col, cid in enumerate(candidate_ids)}
+    rows_of: dict[int, list[int]] = {}
+    for row, aid in enumerate(anchor_ids):
+        rows_of.setdefault(int(aid), []).append(row)
+    for aid, cid in forbidden:
+        col = col_of.get(cid)
+        if col is None:
+            continue
+        for row in rows_of.get(aid, ()):
+            d[row, col] = np.inf
+    hardest_col = np.argmin(d, axis=1)
+    hardest = d[np.arange(d.shape[0]), hardest_col]
+    ok = np.isfinite(hardest)
+    return hardest, hardest_col, ok
+
+
+@st.composite
+def _contrastive_cases(draw):
+    """Small feature maps with positive pairs whose anchor and partner ids
+    repeat, more or fewer pairs than n_pos_pairs, and candidate counts above
+    and below n_neg_candidates. A map of one or two rows makes every
+    candidate of some anchors a positive partner."""
+    n_a, n_b = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    n_pairs = draw(st.integers(1, 16))
+    pairs = np.array([[draw(st.integers(0, n_a - 1)), draw(st.integers(0, n_b - 1))]
+                      for _ in range(n_pairs)], dtype=np.int64)
+    cfg = lo.LossConfig(n_pos_pairs=draw(st.integers(1, 12)),
+                        n_neg_candidates=draw(st.integers(1, 10)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    frng = np.random.default_rng(seed)
+    return frng.normal(size=(n_a, 3)), frng.normal(size=(n_b, 3)), pairs, cfg, seed
+
+
 class TestHardestContrastive:
     CFG = lo.LossConfig(n_pos_pairs=10_000, n_neg_candidates=10_000)
 
@@ -190,6 +237,55 @@ class TestHardestContrastive:
         v2 = lo.hardest_contrastive(fa, fb, pairs, cfg, rng=np.random.default_rng(5))[0]
         assert v1 == v2
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=_contrastive_cases())
+    def test_mask_miner_matches_set_dict_reference_bytes(self, case):
+        fa, fb, pairs, cfg, seed = case
+        got = lo.hardest_contrastive(fa, fb, pairs, cfg, rng=np.random.default_rng(seed))
+        with mock.patch.object(lo, "_mine_hardest", set_dict_miner):
+            ref = lo.hardest_contrastive(fa, fb, pairs, cfg, rng=np.random.default_rng(seed))
+        assert np.float64(got[0]).tobytes() == np.float64(ref[0]).tobytes()
+        assert got[1].tobytes() == ref[1].tobytes() and got[2].tobytes() == ref[2].tobytes()
+        ids_a, ids_b = pairs[:, 0], pairs[:, 1]
+        for mined, expect in zip(lo._mine_hardest(fa[ids_a], ids_a, ids_b, fb, np.arange(len(fb))),
+                                 set_dict_miner(fa[ids_a], ids_a, ids_b, fb, np.arange(len(fb)))):
+            assert mined.tobytes() == expect.tobytes()
+
+    def test_anchor_whose_candidates_are_all_partners_is_masked(self):
+        # fb has one row, the positive partner of both anchors: side A mines
+        # nothing, and anchor id 0 appears twice
+        fa = np.array([[0.0, 0.0], [0.5, 0.0], [3.0, 0.0]])
+        fb = np.array([[0.2, 0.0]])
+        ids_a, ids_b = np.array([0, 1, 0]), np.array([0, 0, 0])
+        hardest, _, ok = lo._mine_hardest(fa[ids_a], ids_a, ids_b, fb, np.arange(1))
+        assert not ok.any() and np.isinf(hardest).all()
+        pairs = np.stack([ids_a, ids_b], axis=1)
+        got = lo.hardest_contrastive(fa, fb, pairs, self.CFG)
+        with mock.patch.object(lo, "_mine_hardest", set_dict_miner):
+            ref = lo.hardest_contrastive(fa, fb, pairs, self.CFG)
+        assert got[0] == ref[0]
+        assert got[1].tobytes() == ref[1].tobytes() and got[2].tobytes() == ref[2].tobytes()
+
+    def test_candidates_drawn_for_a_then_b_after_the_positives(self, rng):
+        fa, fb = rng.normal(size=(30, 3)), rng.normal(size=(25, 3))
+        pairs = np.stack([np.arange(20), np.arange(20)], axis=1)
+        cfg = lo.LossConfig(n_pos_pairs=8, n_neg_candidates=10)
+        mine, seen = lo._mine_hardest, []
+
+        def spy(*args):
+            seen.append(args[-1])
+            return mine(*args)
+
+        with mock.patch.object(lo, "_mine_hardest", spy):
+            lo.hardest_contrastive(fa, fb, pairs, cfg, rng=np.random.default_rng(9))
+        draws = np.random.default_rng(9)
+        draws.choice(20, size=8, replace=False)
+        cand_a = np.sort(draws.choice(30, size=10, replace=False))
+        cand_b = np.sort(draws.choice(25, size=10, replace=False))
+        # side A's anchors mine among B's candidates, then side B's among A's
+        np.testing.assert_array_equal(seen[0], cand_b)
+        np.testing.assert_array_equal(seen[1], cand_a)
+
     def test_no_positives_raises(self, rng):
         with pytest.raises(NoPositives):
             lo.hardest_contrastive(rng.normal(size=(4, 2)), rng.normal(size=(4, 2)),
@@ -198,6 +294,12 @@ class TestHardestContrastive:
     def test_margin_validation(self):
         with pytest.raises(ValueError):
             lo.LossConfig(m_p=0.5, m_n=0.5)
+
+    @pytest.mark.parametrize("field", ["lambda1", "lambda2", "m_p", "m_n"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_rejects_nan_infinite_or_negative(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            lo.LossConfig(**{field: value})
 
 
 class TestTotalLoss:

@@ -173,30 +173,32 @@ class TestDecoderForward:
 class TestFuse:
     def test_zero_offsets_duplicate_points(self, rng):
         cloud = rng.uniform(-1, 1, (10, 3))
-        rec = mdl.fuse(cloud, np.zeros((10, 2, 3)))
-        assert rec.points.shape == (20, 3)
-        np.testing.assert_array_equal(rec.points[0], cloud[0])
-        np.testing.assert_array_equal(rec.points[1], cloud[0])
+        fused = mdl.fuse(cloud, np.zeros((10, 2, 3)))
+        assert fused.shape == (20, 3)
+        np.testing.assert_array_equal(fused[0], cloud[0])
+        np.testing.assert_array_equal(fused[1], cloud[0])
 
     def test_single_point_offset(self):
-        rec = mdl.fuse([[1.0, 1.0, 1.0]], np.array([[[0.1, 0.0, 0.0]]]))
-        np.testing.assert_allclose(rec.points, [[1.1, 1.0, 1.0]])
+        fused = mdl.fuse([[1.0, 1.0, 1.0]], np.array([[[0.1, 0.0, 0.0]]]))
+        np.testing.assert_allclose(fused, [[1.1, 1.0, 1.0]])
 
     def test_points_equal_source_plus_offset_bit_exact(self, rng):
         cloud = rng.uniform(-5, 5, (15, 3))
         offsets = rng.normal(size=(15, 3, 3))
-        rec = mdl.fuse(cloud, offsets)
-        expect = cloud[rec.source_index] + offsets[rec.source_index, rec.slot]
-        np.testing.assert_array_equal(rec.points, expect)
+        fused = mdl.fuse(cloud, offsets)
+        assert fused.shape == (45, 3)
+        for i in range(15):
+            for j in range(3):
+                np.testing.assert_array_equal(fused[i * 3 + j], cloud[i] + offsets[i, j])
 
     def test_provenance_round_trip_bit_exact_on_lattice(self, rng):
         # dyadic coordinates make the subtraction exact, so the offsets
-        # are recovered bit-for-bit
+        # are recovered bit-for-bit from rows i*phi .. i*phi + phi - 1
         cloud = lattice_cloud(rng, 15)
         offsets = np.round(rng.normal(size=(15, 3, 3)) * 1024) / 1024
-        rec = mdl.fuse(cloud, offsets)
-        recovered = rec.points - cloud[rec.source_index]
-        np.testing.assert_array_equal(recovered.reshape(15, 3, 3), offsets)
+        fused = mdl.fuse(cloud, offsets)
+        recovered = fused.reshape(15, 3, 3) - cloud[:, None, :]
+        np.testing.assert_array_equal(recovered, offsets)
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeMismatch):

@@ -7,7 +7,7 @@ from distreg import simulate as sim
 from distreg.aggregate import ApgConfig
 from distreg.dataio import PairSpec, distill_records
 from distreg.errors import NoPairs, NonFiniteLoss
-from distreg.geometry import Correspondences, apply_transform, random_transform
+from distreg.geometry import apply_transform, random_transform
 from distreg.losses import LossConfig
 from distreg.register import NORMAL, RansacConfig, registration_recall
 
@@ -46,8 +46,8 @@ class TestGtCorrespondences:
         t = random_transform(rng, 1.0)
         b = apply_transform(a, t)
         pairs = pl.gt_correspondences(a, b, t, 0.1)
-        assert len(pairs) == 60
-        np.testing.assert_array_equal(pairs.pairs[:, 0], pairs.pairs[:, 1])
+        assert pairs.shape == (60, 2) and pairs.dtype == np.int64
+        np.testing.assert_array_equal(pairs[:, 0], pairs[:, 1])
 
     def test_radius_excludes(self, rng):
         a = rng.uniform(-5, 5, (30, 3))
@@ -114,6 +114,19 @@ class TestTrain:
         with pytest.raises(NonFiniteLoss) as exc:
             pl.train(seq_a, seq_b, pairs, cfg)
         assert exc.value.step >= 0
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_rejects_bad_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            toy_config(learning_rate=lr)
+
+    @pytest.mark.parametrize("d2", [float("nan"), float("inf"), -1.0])
+    def test_curriculum_rejects_bad_d2(self, d2):
+        # NaN compares below 30 m, which would turn finetuning off silently
+        with pytest.raises(ValueError, match="d2"):
+            pl.CurriculumSpec(d2=d2)
 
 
 class TestCurriculum:

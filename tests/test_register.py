@@ -13,7 +13,6 @@ from distreg.errors import (
     TooFewCorrespondences,
 )
 from distreg.geometry import (
-    Correspondences,
     RigidTransform,
     apply_transform,
     kabsch_points,
@@ -22,7 +21,7 @@ from distreg.geometry import (
 
 
 def identity_corr(n):
-    return Correspondences(np.stack([np.arange(n)] * 2, axis=1))
+    return np.stack([np.arange(n)] * 2, axis=1)
 
 
 def reference_counts(R, t, src, dst, thr):
@@ -117,8 +116,8 @@ class TestMatchFeatures:
     def test_identity_matching(self, rng):
         f = rng.normal(size=(30, 8))
         corr = reg.match_features(f, f)
-        np.testing.assert_array_equal(corr.pairs[:, 0], corr.pairs[:, 1])
-        assert len(corr) == 30
+        assert corr.shape == (30, 2) and corr.dtype == np.int64
+        np.testing.assert_array_equal(corr[:, 0], corr[:, 1])
 
     def test_isometry_invariance(self, rng):
         fa = rng.normal(size=(40, 8))
@@ -126,7 +125,7 @@ class TestMatchFeatures:
         q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
         base = reg.match_features(fa, fb)
         rotated = reg.match_features(fa @ q.T, fb @ q.T)
-        np.testing.assert_array_equal(base.pairs, rotated.pairs)
+        np.testing.assert_array_equal(base, rotated)
 
     def test_matches_brute_force_mutual_nn(self, rng):
         fa = rng.normal(size=(100, 8))
@@ -136,13 +135,13 @@ class TestMatchFeatures:
         b2a = d.argmin(axis=0)
         expect = [(i, a2b[i]) for i in range(100) if b2a[a2b[i]] == i]
         got = reg.match_features(fa, fb)
-        assert [tuple(p) for p in got.pairs] == expect
+        assert [tuple(p) for p in got] == expect
 
     def test_swap_transposes(self, rng):
         fa = rng.normal(size=(50, 6))
         fb = rng.normal(size=(60, 6))
-        ab = {tuple(p) for p in reg.match_features(fa, fb).pairs}
-        ba = {tuple(p[::-1]) for p in reg.match_features(fb, fa).pairs}
+        ab = {tuple(p) for p in reg.match_features(fa, fb)}
+        ba = {tuple(p[::-1]) for p in reg.match_features(fb, fa)}
         assert ab == ba
 
     def test_empty_raises(self, rng):
@@ -201,6 +200,16 @@ class TestRansac:
         np.testing.assert_array_equal(e1.transform.rotation, e2.transform.rotation)
         np.testing.assert_array_equal(e1.transform.translation, e2.transform.translation)
         assert e1.inlier_count == e2.inlier_count
+
+    @pytest.mark.parametrize("side,index", [(0, -1), (0, 6), (1, -1), (1, 5)])
+    def test_index_out_of_range_raises_value_error(self, rng, side, index):
+        # a negative index would otherwise wrap to the end of the cloud
+        a = rng.uniform(-10, 10, (6, 3))
+        b = rng.uniform(-10, 10, (5, 3))
+        pairs = identity_corr(5)
+        pairs[2, side] = index
+        with pytest.raises(ValueError, match="out of range"):
+            reg.ransac_register(pairs, a, b, reg.RansacConfig(iterations=10))
 
     def test_too_few_correspondences(self, rng):
         a = rng.uniform(-1, 1, (2, 3))

@@ -39,6 +39,25 @@ class TestWorld:
         with pytest.raises(ValueError):
             sim.Cylinder(center_xy=(0, 0), radius=-1, height=1)
 
+    @pytest.mark.parametrize("extent", [float("nan"), float("inf"), 0.0])
+    def test_rejects_nan_or_infinite_extent(self, extent):
+        with pytest.raises(ValueError, match="extent"):
+            sim.simulate_world(0, extent, 3)
+
+
+class TestLidarConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("max_range", float("nan")), ("max_range", float("inf")), ("max_range", 0.0),
+        ("range_noise_sigma", float("nan")), ("range_noise_sigma", float("inf")),
+        ("range_noise_sigma", -0.1), ("elevation_angles", ()),
+        ("elevation_angles", (0.0, float("nan"))), ("azimuth_steps", 4),
+    ])
+    def test_rejects_bad_settings(self, field, value):
+        # NaN fails every comparison: a NaN range or no ring would give empty
+        # clouds, a NaN sigma noiseless ones
+        with pytest.raises(ValueError, match=field):
+            sim.LidarConfig(**{field: value})
+
 
 class TestScan:
     def test_analytic_ground_ring(self):
@@ -164,6 +183,16 @@ class TestTrajectories:
         assert len(poses) == 4
         np.testing.assert_allclose(poses[0].translation, [1.0, 2.0, 2.0])
         np.testing.assert_allclose(poses[3].translation, [1.0, 3.5, 2.0], atol=1e-12)
+
+    @pytest.mark.parametrize("field,kwargs", [
+        ("spacing", dict(spacing=float("nan"))), ("spacing", dict(spacing=-1.0)),
+        ("spacing", dict(spacing=float("inf"))), ("height", dict(height=0.0)),
+        ("height", dict(height=float("nan"))), ("n_frames", dict(n_frames=0)),
+    ])
+    def test_line_rejects_bad_settings(self, field, kwargs):
+        args = dict(start_xy=(0.0, 0.0), heading_deg=0.0, spacing=1.0, n_frames=3)
+        with pytest.raises(ValueError, match=field):
+            sim.line_trajectory(**{**args, **kwargs})
 
     def test_arc_radius(self):
         poses = sim.arc_trajectory((0.0, 0.0), 10.0, 0.0, 15.0, 6, height=1.0)
