@@ -12,6 +12,7 @@ Exit code 0 is success and 3 an ``OSError``. Every other failure is a
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from contextlib import contextmanager
@@ -233,6 +234,14 @@ def _atomic_replace(write_fn, final_path: Path) -> None:
             tmp.unlink()
 
 
+def _load_datasets(args) -> tuple[dataio.FrameSequence, dataio.FrameSequence]:
+    """``--dataset`` and ``--dataset-b``; the second is the first when unset."""
+    seq_a = dataio.load_dataset(_check_input(args.dataset, "dataset"))
+    if args.dataset_b is None:
+        return seq_a, seq_a
+    return seq_a, dataio.load_dataset(_check_input(args.dataset_b, "dataset-b"))
+
+
 def _parse_list(flag: str, text: str, item) -> list:
     """Comma-separated values of one flag, each converted by ``item``."""
     try:
@@ -255,6 +264,8 @@ def _parse_bin(text: str) -> tuple[float, float]:
 def cmd_simulate(args) -> int:
     with _usage_errors():
         world = simulate.simulate_world(args.seed, args.extent, args.obstacles)
+        if args.rings < 1:
+            raise ValueError(f"--rings must be >= 1, got {args.rings}")
         lidar = simulate.LidarConfig(
             azimuth_steps=args.azimuth_steps,
             elevation_angles=tuple(np.linspace(args.ring_lo, args.ring_hi, args.rings)),
@@ -269,12 +280,7 @@ def cmd_simulate(args) -> int:
     seq = simulate.simulate_sequence(world, trajectory, lidar, seed=args.seed)
     meta = {
         "seed": args.seed, "extent": args.extent, "n_obstacles": args.obstacles,
-        "lidar": {
-            "azimuth_steps": lidar.azimuth_steps,
-            "elevation_angles": list(lidar.elevation_angles),
-            "max_range": lidar.max_range,
-            "range_noise_sigma": lidar.range_noise_sigma,
-        },
+        "lidar": dataclasses.asdict(lidar),
         "trajectory": {
             "kind": "line", "start_x": args.start_x, "start_y": args.start_y,
             "heading_deg": args.heading, "spacing": args.spacing,
@@ -291,9 +297,7 @@ def cmd_distill(args) -> int:
         spec = dataio.PairSpec(args.d1, args.d2, args.max_overlap)
         if not args.tau > 0:
             raise ValueError("--tau must be positive")
-    seq_a = dataio.load_dataset(_check_input(args.dataset, "dataset"))
-    seq_b = seq_a if args.dataset_b is None else dataio.load_dataset(
-        _check_input(args.dataset_b, "dataset-b"))
+    seq_a, seq_b = _load_datasets(args)
     out = _check_output_file(args.out, args.force)
     records = dataio.distill_records(seq_a, seq_b, spec, args.tau)
     if not records and args.require_nonempty:
@@ -332,9 +336,7 @@ def cmd_train(args) -> int:
                 d2=args.curriculum_d2, overlap_max=args.max_overlap, tau=args.tau)
     elif not args.pairs:
         raise UsageError("--pairs is required unless --curriculum is set")
-    seq_a = dataio.load_dataset(_check_input(args.dataset, "dataset"))
-    seq_b = seq_a if args.dataset_b is None else dataio.load_dataset(
-        _check_input(args.dataset_b, "dataset-b"))
+    seq_a, seq_b = _load_datasets(args)
     out = _check_output_file(args.out, args.force)
     log_path = _check_output_file(args.log, args.force) if args.log else None
 
@@ -398,9 +400,7 @@ def cmd_evaluate(args) -> int:
             ratios = pipeline.check_density_ratios(
                 _parse_list("--density-ratios", args.density_ratios, float))
     criterion = register.criterion_by_name(args.criterion)
-    seq_a = dataio.load_dataset(_check_input(args.dataset, "dataset"))
-    seq_b = seq_a if args.dataset_b is None else dataio.load_dataset(
-        _check_input(args.dataset_b, "dataset-b"))
+    seq_a, seq_b = _load_datasets(args)
     pairs = dataio.read_pairs_file(_check_input(args.pairs, "pairs file"))
     if not pairs:
         raise EmptyResultGuard("pairs file is empty")

@@ -59,55 +59,35 @@ class ModelConfig:
 @dataclass
 class EncoderParams:
     k: int
-    l: int
     normalize: bool
-    w1: np.ndarray  # (h1, 3) per-neighbor stage
-    b1: np.ndarray
-    w2: np.ndarray  # (h2, h1)
-    b2: np.ndarray
-    w3: np.ndarray  # (h3, 2*h2) post-concat stage
-    b3: np.ndarray
-    w4: np.ndarray  # (l, h3)
-    b4: np.ndarray
+    layers: tuple[np.ndarray, ...]  # _ENCODER_TENSORS order: per-neighbor (w1, b1, w2, b2)
+                                    # of shapes (h1, 3), (h2, h1); post-pool (w3, b3, w4, b4)
+                                    # of shapes (h3, 2*h2), (l, h3)
 
     @property
-    def layers(self) -> tuple[np.ndarray, ...]:
-        """Per-neighbor (w1..b2) then post-pool (w3..b4) tensors."""
-        return tuple(getattr(self, n) for n in _ENCODER_TENSORS)
+    def l(self) -> int:
+        return self.layers[6].shape[0]
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         return [(f"enc.{n}", t) for n, t in zip(_ENCODER_TENSORS, self.layers)]
-
-    def set_tensor(self, name: str, value: np.ndarray) -> None:
-        setattr(self, name.removeprefix("enc."), value)
 
 
 @dataclass
 class DecoderParams:
     variant: str               # "asymmetric" | "symmetric"
-    phi: int
     layers: tuple[np.ndarray, ...]  # flat (w, b, w, b, ...) in forward order
     k: int | None = None       # symmetric only: neighborhood size
+
+    @property
+    def phi(self) -> int:
+        return self.layers[-1].shape[0] // 3
 
     def named_tensors(self) -> list[tuple[str, np.ndarray]]:
         return [(f"dec.t{i}", t) for i, t in enumerate(self.layers)]
 
-    def set_tensor(self, name: str, value: np.ndarray) -> None:
-        i = int(name.removeprefix("dec.t"))
-        layers = list(self.layers)
-        layers[i] = value
-        self.layers = tuple(layers)
-
 
 def named_parameters(enc: EncoderParams, dec: DecoderParams) -> list[tuple[str, np.ndarray]]:
     return enc.named_tensors() + dec.named_tensors()
-
-
-def set_parameter(enc: EncoderParams, dec: DecoderParams, name: str, value: np.ndarray) -> None:
-    if name.startswith("enc."):
-        enc.set_tensor(name, value)
-    else:
-        dec.set_tensor(name, value)
 
 
 def init_params(seed, cfg: ModelConfig = ModelConfig()) -> tuple[EncoderParams, DecoderParams]:
@@ -131,7 +111,7 @@ def init_params(seed, cfg: ModelConfig = ModelConfig()) -> tuple[EncoderParams, 
     w2, b2 = linear(h2, h1)
     w3, b3 = linear(h3, 2 * h2)
     w4, b4 = linear(cfg.l, h3)
-    enc = EncoderParams(cfg.k, cfg.l, cfg.normalize, w1, b1, w2, b2, w3, b3, w4, b4)
+    enc = EncoderParams(cfg.k, cfg.normalize, (w1, b1, w2, b2, w3, b3, w4, b4))
 
     out_dim = 3 * cfg.phi
     layers: list[np.ndarray] = []
@@ -141,14 +121,13 @@ def init_params(seed, cfg: ModelConfig = ModelConfig()) -> tuple[EncoderParams, 
             w, b = linear(fan_out, fan_in)
             layers += [w, b]
         layers[-2] = np.zeros_like(layers[-2])
-        dec = DecoderParams("asymmetric", cfg.phi, tuple(layers))
+        dec = DecoderParams("asymmetric", tuple(layers))
     else:
         v1, c1 = linear(h1, cfg.l)
         v2, c2 = linear(h2, h1)
         v3, c3 = linear(h3, 2 * h2)
         v4, c4 = linear(out_dim, h3)
-        dec = DecoderParams("symmetric", cfg.phi, (v1, c1, v2, c2, v3, c3, np.zeros_like(v4), c4),
-                            k=cfg.k)
+        dec = DecoderParams("symmetric", (v1, c1, v2, c2, v3, c3, np.zeros_like(v4), c4), k=cfg.k)
     return enc, dec
 
 
@@ -277,8 +256,9 @@ def _encoder_run(cloud, params: EncoderParams, keep: bool):
     idx = _neighbor_indices(pts, params.k)
     n = pts.shape[0]
 
-    h1o = _relu(params.b1)                     # per-neighbor stage at the zero input
-    h2o = _relu(params.w2 @ h1o + params.b2)
+    _, b1, w2, b2 = params.layers[:4]
+    h1o = _relu(b1)                            # per-neighbor stage at the zero input
+    h2o = _relu(w2 @ h1o + b2)
     u, pool = _pool_forward(idx, lambda nbrs, rows: pts[nbrs] - pts[rows, None, :],
                             np.broadcast_to(h2o, (n, h2o.size)), params.layers, keep)
 
@@ -317,10 +297,11 @@ def encoder_backward(params: EncoderParams, cache: EncoderCache, d_features: np.
     grads, _, down = _pool_backward(params.layers, cache.pool, du)
 
     # own-path (zero input): contributes to b1, w2, b2 only
+    _, b1, w2, _ = params.layers[:4]
     da2o = down.sum(axis=0) * (cache.h2o > 0)
     grads[2] += np.outer(da2o, cache.h1o)
     grads[3] += da2o
-    grads[1] += (params.w2.T @ da2o) * (params.b1 > 0)
+    grads[1] += (w2.T @ da2o) * (b1 > 0)
     return {f"enc.{name}": g for name, g in zip(_ENCODER_TENSORS, grads)}
 
 
@@ -333,7 +314,6 @@ class DecoderCache:
     inputs: list[np.ndarray]  # layer inputs of the row-wise MLP: the asymmetric decoder,
                               # or the symmetric decoder's own path
     pool: PoolCache | None    # the symmetric decoder's pooled block
-    n_points: int
 
 
 def _assert_feature_width(fm: np.ndarray, expected: int) -> None:
@@ -367,8 +347,8 @@ def decoder_forward_cached(fm, params: DecoderParams, cloud=None, keep: bool = T
         a2o, inputs = _mlp_forward(fm, params.layers[:4])
         out, pool = _pool_forward(idx, lambda nbrs, rows: fm[nbrs], _relu(a2o),
                                   params.layers, keep)
-    cache = DecoderCache(inputs, pool, fm.shape[0]) if keep else None
-    return out.reshape(fm.shape[0], params.phi, 3), cache
+    cache = DecoderCache(inputs, pool) if keep else None
+    return out.reshape(fm.shape[0], -1, 3), cache
 
 
 def decoder_backward(
@@ -380,7 +360,7 @@ def decoder_backward(
     the global norm, so it is part of every trained checkpoint's bytes."""
     if cache is None:
         raise MissingCache("decoder backward requires the forward cache")
-    dout = np.asarray(d_offsets, dtype=np.float64).reshape(cache.n_points, -1)
+    dout = np.asarray(d_offsets, dtype=np.float64).reshape(cache.inputs[0].shape[0], -1)
 
     if params.variant == "asymmetric":
         grads, da1 = _mlp_backward(params.layers, cache.inputs, dout)
@@ -477,6 +457,8 @@ def save_checkpoint(path, enc: EncoderParams, dec: DecoderParams) -> None:
 
 
 def load_checkpoint(path) -> tuple[EncoderParams, DecoderParams]:
+    """Raises MalformedFile unless ``save_checkpoint`` of what it returns
+    would write the file's bytes again."""
     raw = Path(path).read_bytes()
     if raw[:4] != _CHECKPOINT_MAGIC:
         raise MalformedFile(f"{path}: bad checkpoint magic")
@@ -491,7 +473,7 @@ def load_checkpoint(path) -> tuple[EncoderParams, DecoderParams]:
         return off - size
 
     header = "<IIIIBBHI"
-    version, k, l, phi, variant_code, normalize, _, dec_k = struct.unpack_from(
+    version, k, l, phi, variant_code, normalize, reserved, dec_k = struct.unpack_from(
         header, raw, take(struct.calcsize(header)))
     if version != _CHECKPOINT_VERSION:
         raise MalformedFile(f"{path}: unsupported checkpoint version {version}")
@@ -499,19 +481,46 @@ def load_checkpoint(path) -> tuple[EncoderParams, DecoderParams]:
     tensors = []
     for _ in range(n_tensors):
         (ndim,) = struct.unpack_from("<B", raw, take(1))
+        if ndim not in (1, 2):
+            raise MalformedFile(f"{path}: tensor with {ndim} dimensions")
         shape = struct.unpack_from(f"<{ndim}I", raw, take(4 * ndim))
         count = math.prod(shape)
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=take(8 * count))
         tensors.append(arr.reshape(shape).copy())
     if off != len(raw):
         raise MalformedFile(f"{path}: trailing bytes in checkpoint")
-    if len(tensors) < 9:
-        raise MalformedFile(f"{path}: checkpoint is missing tensors")
-    enc = EncoderParams(k, l, bool(normalize), *tensors[:8])
-    dec = DecoderParams(
-        "asymmetric" if variant_code == 0 else "symmetric",
-        phi,
-        tuple(tensors[8:]),
-        k=dec_k or None,
-    )
+
+    def mlp_width(layers, fan_in: int) -> int:
+        """Output width of flat (w, b, ...) tensors fed ``fan_in`` inputs;
+        raises unless each w is (out >= 1, in) with ``in`` the previous out
+        and each b is (out,)."""
+        for w, b in zip(layers[::2], layers[1::2]):
+            if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] != fan_in or b.shape != w.shape[:1]:
+                raise MalformedFile(f"{path}: tensor shapes {w.shape}, {b.shape} do not "
+                                    f"follow a layer of width {fan_in}")
+            fan_in = w.shape[0]
+        return fan_in
+
+    if variant_code not in (0, 1) or normalize not in (0, 1) or reserved:
+        raise MalformedFile(f"{path}: bad checkpoint flags {variant_code}, {normalize}, {reserved}")
+    symmetric = variant_code == 1
+    if k < 1 or (symmetric and dec_k < 1):
+        raise MalformedFile(f"{path}: neighborhood sizes {k}, {dec_k} must be >= 1")
+    n_dec = len(tensors) - 8
+    if n_dec < 2 or n_dec % 2 or (symmetric and n_dec != 8):
+        raise MalformedFile(f"{path}: checkpoint has {len(tensors)} tensors")
+    if not all(np.isfinite(t).all() for t in tensors):
+        raise MalformedFile(f"{path}: non-finite checkpoint value")
+    enc_layers, dec_layers = tensors[:8], tensors[8:]
+    width = mlp_width(enc_layers[4:], 2 * mlp_width(enc_layers[:4], 3))
+    if symmetric:
+        out = mlp_width(dec_layers[4:], 2 * mlp_width(dec_layers[:4], width))
+    else:
+        out = mlp_width(dec_layers, width)
+    if (l, 3 * phi) != (width, out):
+        raise MalformedFile(f"{path}: header sizes l={l}, phi={phi} disagree with the "
+                            f"tensors' {width} features and {out} offset values")
+    enc = EncoderParams(k, bool(normalize), tuple(enc_layers))
+    dec = DecoderParams("symmetric" if symmetric else "asymmetric", tuple(dec_layers),
+                        k=dec_k or None)
     return enc, dec

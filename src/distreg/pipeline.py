@@ -335,10 +335,11 @@ def train(
             if not np.isfinite(report.total):
                 raise NonFiniteLoss(step)
             grads = clip_gradients(grads)
+            # in place: enc and dec are this call's own copies
             for name, tensor in mdl.named_parameters(enc, dec):
                 v = cfg.momentum * velocity[name] + grads[name]
                 velocity[name] = v
-                mdl.set_parameter(enc, dec, name, tensor - lr * v)
+                tensor -= lr * v
             log.steps.append(StepRecord(step, report.l_ml, report.l_cd, report.l_l2, report.total))
             step += 1
         if val_pairs:

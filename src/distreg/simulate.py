@@ -235,6 +235,10 @@ def line_trajectory(
         raise ValueError("spacing must be positive and finite")
     if not 0 < height < np.inf:
         raise ValueError("height must be positive and finite")
+    if not np.isfinite(start_xy).all():
+        raise ValueError(f"start_xy must be finite, got {tuple(start_xy)}")
+    if not np.isfinite(heading_deg):
+        raise ValueError(f"heading_deg must be finite, got {heading_deg}")
     heading = np.radians(heading_deg)
     direction = np.array([np.cos(heading), np.sin(heading), 0.0])
     yaw = np.array(

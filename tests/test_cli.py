@@ -1,5 +1,6 @@
 import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,7 @@ class TestSimulate:
         ("--frames", 0), ("--azimuth-steps", 4), ("--obstacles", -1), ("--height", 0),
         ("--spacing", -1), ("--spacing", "nan"), ("--extent", -5), ("--extent", "nan"),
         ("--noise-sigma", "nan"), ("--max-range", "nan"), ("--rings", 0),
+        ("--rings", -1), ("--heading", "nan"), ("--start-x", "inf"), ("--start-y", "nan"),
     ])
     def test_bad_setting_usage_error(self, tmp_path, capsys, flag, value):
         # rejected before anything is simulated: no output directory appears
@@ -156,6 +158,7 @@ class TestSimulate:
                     flag, value, "--out", out]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert flag[2:].split("-")[0] in err[0]  # the message names the setting
         assert not out.exists()
 
     def test_force_overwrites(self, tmp_path):
@@ -490,7 +493,7 @@ class TestEvaluate:
 
 
 class TestMalformedInput:
-    """Malformed text input exits 3 with one error line naming the file."""
+    """Malformed input exits 3 with one error line naming the file."""
 
     def _expect_exit_3(self, argv, path, capsys):
         capsys.readouterr()
@@ -531,3 +534,13 @@ class TestMalformedInput:
         self._expect_exit_3(["distill", "--dataset", ds, "--out", tmp_path / "p.csv"],
                             ds / "meta.json", capsys)
         assert not (tmp_path / "p.csv").exists()
+
+    def test_malformed_checkpoint(self, dataset, pairs_file, checkpoint, tmp_path, capsys):
+        # a first weight four inputs wide used to end in a matmul traceback
+        enc, dec = mdl.load_checkpoint(checkpoint)
+        bad = tmp_path / "bad.ckpt"
+        w1 = np.ones((enc.layers[0].shape[0], 4))
+        mdl.save_checkpoint(bad, replace(enc, layers=(w1, *enc.layers[1:])), dec)
+        self._expect_exit_3(["evaluate", "--dataset", dataset, "--pairs", pairs_file,
+                             "--checkpoint", bad, "--out", tmp_path / "r.csv"], bad, capsys)
+        assert not (tmp_path / "r.csv").exists()

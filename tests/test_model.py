@@ -1,14 +1,20 @@
-import copy
+import struct
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from distreg import model as mdl
 from distreg.errors import MalformedFile, MissingCache, ShapeMismatch, TooFewPoints
 
 TINY = mdl.ModelConfig(k=4, l=8, encoder_hidden=(8, 16), encoder_post_hidden=16,
                        phi=2, decoder_hidden=(16, 8))
+SYMMETRIC = replace(TINY, decoder_variant="symmetric")
+# small enough that header and shape bytes are a fair share of the file
+FUZZ = mdl.ModelConfig(k=2, l=2, encoder_hidden=(2, 2), encoder_post_hidden=2,
+                       phi=1, decoder_hidden=(2,))
 
 
 def tiny_params(seed=3, randomize=None, cfg=TINY):
@@ -17,8 +23,8 @@ def tiny_params(seed=3, randomize=None, cfg=TINY):
     enc, dec = mdl.init_params(seed, cfg)
     if randomize is not None:
         rng = np.random.default_rng(randomize)
-        for name, t in mdl.named_parameters(enc, dec):
-            mdl.set_parameter(enc, dec, name, t + 0.05 * rng.normal(size=t.shape))
+        for _, t in mdl.named_parameters(enc, dec):
+            t += 0.05 * rng.normal(size=t.shape)
     return enc, dec
 
 
@@ -46,12 +52,12 @@ class TestInit:
         cfg = mdl.ModelConfig(k=8, l=64, encoder_hidden=(64, 128), encoder_post_hidden=128,
                               phi=4, decoder_hidden=(256, 128))
         enc, dec = mdl.init_params(0, cfg)
-        for w, fan_in in ((enc.w2, 64), (enc.w3, 256), (dec.layers[2], 256)):
+        for w, fan_in in ((enc.layers[2], 64), (enc.layers[4], 256), (dec.layers[2], 256)):
             assert w.var() == pytest.approx(1.0 / fan_in, rel=0.2)
 
     def test_biases_zero(self):
         enc, dec = mdl.init_params(1, TINY)
-        assert not enc.b1.any() and not enc.b2.any()
+        assert not enc.layers[1].any() and not enc.layers[3].any()
         assert not dec.layers[1].any()
 
 
@@ -134,13 +140,13 @@ class TestEncoderForward:
 class TestDecoderForward:
     def test_zero_params_zero_offsets(self, rng):
         enc, dec = tiny_params()
-        for i, t in enumerate(dec.layers):
-            dec.set_tensor(f"dec.t{i}", np.zeros_like(t))
+        for t in dec.layers:
+            t[...] = 0.0
         fm = rng.normal(size=(20, TINY.l))
         np.testing.assert_array_equal(mdl.decoder_forward(fm, dec), np.zeros((20, 2, 3)))
 
     def test_single_linear_layer_passthrough(self):
-        dec = mdl.DecoderParams("asymmetric", 1, (np.eye(3, 8), np.zeros(3)))
+        dec = mdl.DecoderParams("asymmetric", (np.eye(3, 8), np.zeros(3)))
         fm = np.arange(16.0).reshape(2, 8)
         out = mdl.decoder_forward(fm, dec)
         np.testing.assert_array_equal(out.reshape(2, 3), fm[:, :3])
@@ -224,7 +230,7 @@ class TestBackward:
         # single linear decoder layer, quadratic loss: gradient = x^T (2(xW^T-y))
         rng = np.random.default_rng(0)
         w = rng.normal(size=(6, 8))
-        dec = mdl.DecoderParams("asymmetric", 2, (w, np.zeros(6)))
+        dec = mdl.DecoderParams("asymmetric", (w, np.zeros(6)))
         x = rng.normal(size=(10, 8))
         y = rng.normal(size=(10, 6))
         out, cache = mdl.decoder_forward_cached(x, dec)
@@ -254,18 +260,14 @@ class TestBackward:
 
         h = 1e-6
         for name, tensor in mdl.named_parameters(enc, dec):
-            flat = tensor.ravel()
+            flat = tensor.reshape(-1)  # a view: perturbs the tensor in place
             for idx in rng.choice(flat.size, size=min(6, flat.size), replace=False):
                 orig = flat[idx]
-                e2, d2 = copy.deepcopy(enc), copy.deepcopy(dec)
-                tp = tensor.copy()
-                tp.ravel()[idx] = orig + h
-                mdl.set_parameter(e2, d2, name, tp)
-                up = loss(e2, d2)
-                tm = tensor.copy()
-                tm.ravel()[idx] = orig - h
-                mdl.set_parameter(e2, d2, name, tm)
-                down = loss(e2, d2)
+                flat[idx] = orig + h
+                up = loss(enc, dec)
+                flat[idx] = orig - h
+                down = loss(enc, dec)
+                flat[idx] = orig
                 fd = (up - down) / (2 * h)
                 g = grads[name].ravel()[idx]
                 assert abs(fd - g) / max(abs(fd), abs(g), 1e-8) < 1e-4, name
@@ -323,3 +325,56 @@ class TestCheckpoint:
         p.write_bytes(mangle(p.read_bytes()))
         with pytest.raises(MalformedFile):
             mdl.load_checkpoint(p)
+
+    @pytest.mark.parametrize("cfg,mangle", [
+        (TINY, lambda e, d: (replace(e, layers=(np.ones((8, 4)), *e.layers[1:])), d)),
+        (TINY, lambda e, d: (replace(e, k=0), d)),
+        (TINY, lambda e, d: (replace(e, layers=(*e.layers[:6], np.full((8, 16), np.nan),
+                                                e.layers[7])), d)),
+        (TINY, lambda e, d: (e, replace(d, layers=d.layers[:-1]))),
+        (TINY, lambda e, d: (e, replace(d, layers=d.layers[:2] + d.layers[4:]))),
+        (SYMMETRIC, lambda e, d: (e, replace(d, k=None))),
+        (SYMMETRIC, lambda e, d: (e, replace(d, layers=d.layers + d.layers[-2:]))),
+    ], ids=["w1-width", "k-zero", "nan-w4", "decoder-missing-last", "decoder-chain-gap",
+            "symmetric-k-zero", "symmetric-extra-layer"])
+    def test_inconsistent_params_rejected(self, tmp_path, cfg, mangle):
+        p = tmp_path / "model.ckpt"
+        mdl.save_checkpoint(p, *mangle(*mdl.init_params(0, cfg)))
+        with pytest.raises(MalformedFile):
+            mdl.load_checkpoint(p)
+
+    # header fields: k 8, l 12, phi 16, variant 20, normalize 21, reserved 22
+    @pytest.mark.parametrize("offset,fmt,value", [
+        (12, "<I", 99), (16, "<I", 3), (20, "<B", 2), (21, "<B", 2), (22, "<H", 1),
+    ], ids=["l", "phi", "variant", "normalize", "reserved"])
+    def test_bad_header_field_rejected(self, tmp_path, offset, fmt, value):
+        p = tmp_path / "model.ckpt"
+        mdl.save_checkpoint(p, *mdl.init_params(0, TINY))
+        raw = bytearray(p.read_bytes())
+        struct.pack_into(fmt, raw, offset, value)
+        p.write_bytes(raw)
+        with pytest.raises(MalformedFile):
+            mdl.load_checkpoint(p)
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(variant=st.sampled_from(["asymmetric", "symmetric"]),
+           flips=st.lists(st.tuples(st.one_of(st.integers(0, 40), st.integers(0, 1000)),
+                                    st.integers(1, 255)), max_size=3),
+           cut=st.one_of(st.none(), st.integers(0, 1000)))
+    def test_fuzzed_bytes_load_or_malformed(self, tmp_path, variant, flips, cut):
+        """A mangled checkpoint either raises MalformedFile or loads into
+        parameters that save back to the same bytes."""
+        p = tmp_path / "model.ckpt"
+        mdl.save_checkpoint(p, *mdl.init_params(0, replace(FUZZ, decoder_variant=variant)))
+        raw = bytearray(p.read_bytes())
+        for pos, mask in flips:
+            raw[pos % len(raw)] ^= mask
+        raw = bytes(raw if cut is None else raw[:cut % len(raw)])
+        p.write_bytes(raw)
+        try:
+            enc, dec = mdl.load_checkpoint(p)
+        except MalformedFile:
+            return
+        mdl.save_checkpoint(p, enc, dec)
+        assert p.read_bytes() == raw

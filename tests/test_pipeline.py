@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from distreg import model as mdl
 from distreg import pipeline as pl
 from distreg import simulate as sim
-from distreg.aggregate import ApgConfig
+from distreg.aggregate import ApgConfig, generate_apc
 from distreg.dataio import PairSpec, distill_records
 from distreg.errors import NoPairs, NonFiniteLoss
 from distreg.geometry import apply_transform, random_transform
@@ -76,6 +78,51 @@ class TestTrain:
         for (n1, t1), (n2, t2) in zip(mdl.named_parameters(e1, d1), mdl.named_parameters(e2, d2)):
             np.testing.assert_array_equal(t1, t2)
         assert [s.total for s in log1.steps] == [s.total for s in log2.steps]
+
+    def test_in_place_update_matches_out_of_place_reference(self, toy_setup):
+        """train's parameters after 2 epochs equal, to the byte, a loop over
+        the same steps whose momentum-SGD update builds new arrays."""
+        seq_a, seq_b, pairs = toy_setup
+        cfg = toy_config()
+        enc, dec, _ = pl.train(seq_a, seq_b, pairs, cfg)
+
+        ref_enc, ref_dec = mdl.init_params(cfg.seed, cfg.model)
+        velocity = {name: np.zeros_like(t) for name, t in mdl.named_parameters(ref_enc, ref_dec)}
+        contexts = [pl._build_pair_context(seq_a, seq_b, i, j, cfg) for i, j in pairs]
+        apcs = [(pl.reachable_target(generate_apc(seq_a, i, cfg.apg), ctx.cloud_a),
+                 pl.reachable_target(generate_apc(seq_b, j, cfg.apg), ctx.cloud_b))
+                for (i, j), ctx in zip(pairs, contexts)]
+        decay_epoch = int(np.ceil(cfg.epochs * 2 / 3))
+        step = 0
+        for epoch in range(cfg.epochs):
+            lr = cfg.learning_rate * (0.5 if epoch >= decay_epoch else 1.0)
+            for pos in np.random.default_rng([cfg.seed, pl._TAG_SHUFFLE, epoch]).permutation(
+                    len(pairs)):
+                ctx, (apc_a, apc_b) = contexts[pos], apcs[pos]
+                _, grads = pl.pair_loss_and_grads(
+                    ctx.cloud_a, ctx.cloud_b, apc_a, apc_b, ctx.gt_pairs, ref_enc, ref_dec,
+                    cfg.loss, rng=np.random.default_rng([cfg.seed, pl._TAG_METRIC, step]))
+                grads = pl.clip_gradients(grads)
+                new = {}
+                for name, tensor in mdl.named_parameters(ref_enc, ref_dec):
+                    velocity[name] = cfg.momentum * velocity[name] + grads[name]
+                    new[name] = tensor - lr * velocity[name]
+                ref_enc = replace(ref_enc, layers=tuple(new[n] for n, _ in ref_enc.named_tensors()))
+                ref_dec = replace(ref_dec, layers=tuple(new[n] for n, _ in ref_dec.named_tensors()))
+                step += 1
+        for (n1, t1), (n2, t2) in zip(mdl.named_parameters(enc, dec),
+                                      mdl.named_parameters(ref_enc, ref_dec)):
+            assert n1 == n2 and t1.tobytes() == t2.tobytes(), n1
+
+    def test_init_tensors_unchanged(self, toy_setup):
+        seq_a, seq_b, pairs = toy_setup
+        cfg = toy_config(epochs=1)
+        init = mdl.init_params(cfg.seed + 1, cfg.model)
+        before = [t.copy() for _, t in mdl.named_parameters(*init)]
+        enc, dec, _ = pl.train(seq_a, seq_b, pairs, cfg, init=init)
+        for (name, t), t0 in zip(mdl.named_parameters(*init), before):
+            np.testing.assert_array_equal(t, t0, err_msg=name)
+        assert not np.array_equal(enc.layers[0], before[0])
 
     def test_metric_only_arm_runs_and_matches_weights(self, toy_setup):
         seq_a, seq_b, pairs = toy_setup

@@ -188,6 +188,9 @@ class TestTrajectories:
         ("spacing", dict(spacing=float("nan"))), ("spacing", dict(spacing=-1.0)),
         ("spacing", dict(spacing=float("inf"))), ("height", dict(height=0.0)),
         ("height", dict(height=float("nan"))), ("n_frames", dict(n_frames=0)),
+        ("start_xy", dict(start_xy=(float("inf"), 0.0))),
+        ("start_xy", dict(start_xy=(0.0, float("nan")))),
+        ("heading_deg", dict(heading_deg=float("nan"))),
     ])
     def test_line_rejects_bad_settings(self, field, kwargs):
         args = dict(start_xy=(0.0, 0.0), heading_deg=0.0, spacing=1.0, n_frames=3)
