@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +57,10 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        it = self.iterations
+        # bool is an int, and a float or str would fail later in rng.integers
+        if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1:
+            raise ValueError("iterations must be an integer >= 1")
         if not (math.isfinite(self.inlier_threshold) and self.inlier_threshold > 0):
             raise ValueError("inlier_threshold must be positive and finite")
 
@@ -194,9 +198,15 @@ def _squared_threshold(thr: float) -> float:
     return x
 
 
-# ransac_register scores each chunk in row blocks whose three (rows, n)
+# ransac_register scores each task in row blocks whose three (rows, n)
 # float64 _squared_residuals buffers take about this much, so they stay in L2
 _SCORE_BLOCK_BYTES = 1 << 20
+
+# hypotheses per ransac_register task: the scoring ufuncs release the GIL but
+# the fit's small-array ops hold it, so smaller tasks gain less from the pool
+# (512 gained little on 2 CPUs; 2048 to 4096 timed alike, and the smallest
+# keeps each task's fit arrays smallest)
+_TASK_HYPOTHESES = 2048
 
 
 def _squared_residuals(R: np.ndarray, t: np.ndarray, src_t: np.ndarray,
@@ -228,8 +238,16 @@ def ransac_register(pairs, cloud_a, cloud_b, cfg: RansacConfig) -> RansacEstimat
     """Best-of-iterations 3-point hypotheses scored by inlier count, then a
     least-squares refit on the best inlier set. ``pairs`` is a (K, 2) int64
     array of (row of A, row of B) matches into the (N, 3) and (M, 3) clouds;
-    an index outside them raises ValueError. Deterministic given seed; ties
-    between hypotheses go to the earliest one."""
+    an index outside them raises ValueError.
+
+    All samples are drawn up front from ``cfg.seed``. Contiguous tasks of at
+    most ``_TASK_HYPOTHESES`` of them (fewer when that leaves a CPU idle)
+    are fitted and scored on a thread pool with one worker per CPU the
+    process may use (``os.sched_getaffinity``); each task returns only its
+    first best hypothesis. The tasks' bests are reduced in task order and a
+    later one wins only with strictly more inliers, so ties between
+    hypotheses go to the earliest one and the estimate does not depend on
+    the thread count."""
     a = as_points(cloud_a)
     b = as_points(cloud_b)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -248,13 +266,12 @@ def ransac_register(pairs, cloud_a, cloud_b, cfg: RansacConfig) -> RansacEstimat
 
     src_t, dst_t = src.T.copy(), dst.T.copy()
     thr2 = _squared_threshold(cfg.inlier_threshold)
-    best_count = -1
-    best_R = np.eye(3)
-    best_t = np.zeros(3)
-    chunk = max(1, min(512, int(4e6 / max(n, 1))))
     rows = max(1, _SCORE_BLOCK_BYTES // (3 * 8 * n))
-    for start in range(0, cfg.iterations, chunk):
-        block = samples[start : start + chunk]
+    workers = len(os.sched_getaffinity(0))
+    task = min(_TASK_HYPOTHESES, -(-cfg.iterations // workers))
+
+    def best_of(start: int) -> tuple[int, np.ndarray, np.ndarray]:
+        block = samples[start : start + task]
         # repeated indices within a sample make it degenerate; the batched
         # fit flags them along with coincident and collinear triples
         R, t, degenerate = _batched_kabsch(src[block], dst[block])
@@ -264,9 +281,13 @@ def ransac_register(pairs, cloud_a, cloud_b, cfg: RansacConfig) -> RansacEstimat
             counts[r : r + rows] = np.count_nonzero(d2 < thr2, axis=1)
         counts[degenerate] = -1
         bi = int(np.argmax(counts))  # first maximum: earliest hypothesis wins ties
-        if counts[bi] > best_count:
-            best_count = int(counts[bi])
-            best_R, best_t = R[bi], t[bi]
+        return int(counts[bi]), R[bi].copy(), t[bi].copy()
+
+    best_count, best_R, best_t = -1, None, None
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for count, R, t in pool.map(best_of, range(0, cfg.iterations, task)):
+            if count > best_count:  # strict: an earlier task keeps a tie
+                best_count, best_R, best_t = count, R, t
 
     if best_count < 0:
         # every sample degenerate (e.g. all correspondences coincident)

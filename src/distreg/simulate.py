@@ -263,8 +263,16 @@ def arc_trajectory(
     """Circular path with the sensor yawed along the local tangent."""
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    if not 0 < height < np.inf:
+        raise ValueError("height must be positive and finite")
+    if not np.isfinite(center_xy).all():
+        raise ValueError(f"center_xy must be finite, got {tuple(center_xy)}")
+    if not np.isfinite(start_angle_deg):
+        raise ValueError(f"start_angle_deg must be finite, got {start_angle_deg}")
+    if not np.isfinite(step_deg):
+        raise ValueError(f"step_deg must be finite, got {step_deg}")
     poses = []
     for k in range(n_frames):
         phi = np.radians(start_angle_deg + k * step_deg)

@@ -1,4 +1,6 @@
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from distreg import register as reg
 from distreg.errors import (
+    DegenerateGeometry,
     EmptyFeatureMap,
     EmptyResults,
     MalformedFile,
@@ -315,14 +318,124 @@ class TestRansacAgainstSvdFit:
     def test_row_blocks_score_every_hypothesis(self, monkeypatch):
         a, b = ransac_scene(6, 331)
         cfg = reg.RansacConfig(iterations=1500, inlier_threshold=0.3, seed=6)
-        score, blocks = reg._squared_residuals, []
-        monkeypatch.setattr(reg, "_squared_residuals",
-                            lambda *args: blocks.append(score(*args)) or blocks[-1])
-        reg.ransac_register(identity_corr(331), a, b, cfg)
-        assert max(len(d2) for d2 in blocks) < 512
         samples = np.random.default_rng(6).integers(0, 331, (1500, 3))
         R, t, _ = reg._batched_kabsch(a[samples], b[samples])
-        np.testing.assert_array_equal(np.concatenate(blocks), score(R, t, a.T.copy(), b.T.copy()))
+        score, blocks = reg._squared_residuals, []
+        expect = score(R, t, a.T.copy(), b.T.copy())
+        # pool threads score blocks in any order: place each block by the
+        # hypothesis its first row holds
+        first = {R[i].tobytes() + t[i].tobytes(): i for i in range(len(R))}
+        assert len(first) == len(R)
+        monkeypatch.setattr(reg, "_squared_residuals",
+                            lambda *args: blocks.append((args[0], args[1], score(*args)))
+                            or blocks[-1][2])
+        for cpus in (1, 2, 5):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            blocks.clear()
+            reg.ransac_register(identity_corr(331), a, b, cfg)
+            assert max(len(d2) for _, _, d2 in blocks) < 512
+            d2 = np.full(expect.shape, np.nan)
+            for Rb, tb, block in blocks:
+                i = first[Rb[0].tobytes() + tb[0].tobytes()]
+                assert np.isnan(d2[i : i + len(block)]).all()
+                d2[i : i + len(block)] = block
+            np.testing.assert_array_equal(d2, expect)
+
+
+def serial_ransac(pairs, a, b, cfg):
+    """ransac_register before the pool: one thread, chunks of
+    min(512, 4e6 / n) hypotheses, the best kept across chunks by strict >."""
+    src, dst = a[pairs[:, 0]], b[pairs[:, 1]]
+    n = len(pairs)
+    samples = np.random.default_rng(cfg.seed).integers(0, n, size=(cfg.iterations, 3))
+    src_t, dst_t = src.T.copy(), dst.T.copy()
+    thr2 = reg._squared_threshold(cfg.inlier_threshold)
+    best_count, best_R, best_t = -1, np.eye(3), np.zeros(3)
+    chunk = max(1, min(512, int(4e6 / max(n, 1))))
+    rows = max(1, reg._SCORE_BLOCK_BYTES // (3 * 8 * n))
+    for start in range(0, cfg.iterations, chunk):
+        block = samples[start : start + chunk]
+        R, t, degenerate = reg._batched_kabsch(src[block], dst[block])
+        counts = np.empty(len(block), dtype=np.intp)
+        for r in range(0, len(block), rows):
+            d2 = reg._squared_residuals(R[r : r + rows], t[r : r + rows], src_t, dst_t)
+            counts[r : r + rows] = np.count_nonzero(d2 < thr2, axis=1)
+        counts[degenerate] = -1
+        bi = int(np.argmax(counts))
+        if counts[bi] > best_count:
+            best_count = int(counts[bi])
+            best_R, best_t = R[bi], t[bi]
+    if best_count < 0:
+        raise TooFewCorrespondences("no non-degenerate minimal sample found")
+    inliers = np.linalg.norm(src @ best_R.T + best_t - dst, axis=1) < cfg.inlier_threshold
+    transform = RigidTransform(best_R, best_t)
+    if np.count_nonzero(inliers) >= 3:
+        try:
+            transform = kabsch_points(src[inliers], dst[inliers])
+        except DegenerateGeometry:
+            pass
+    resid = np.linalg.norm(src @ transform.rotation.T + transform.translation - dst, axis=1)
+    return reg.RansacEstimate(transform, int(np.count_nonzero(resid < cfg.inlier_threshold)))
+
+
+def estimate_bytes(est):
+    return (est.transform.rotation.tobytes(), est.transform.translation.tobytes(),
+            est.inlier_count)
+
+
+class TestPooledRansac:
+    """The pool's estimate equals the serial loop's, whatever the CPU count."""
+
+    @pytest.fixture(params=[1, 2, 5], ids=lambda n: f"{n}cpu")
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+        return request.param
+
+    def register(self, pairs, a, b, cfg):
+        threads = threading.active_count()
+        est = reg.ransac_register(pairs, a, b, cfg)
+        assert threading.active_count() == threads
+        return est
+
+    # 5,000 and 4,097 iterations split into several full tasks and a short
+    # one; 7 iterations over 5 CPUs into tasks of 2
+    @pytest.mark.parametrize("seed,n,iterations", [
+        (0, 8, 5000), (3, 29, 4097), (5, 150, 5000), (6, 331, 4097), (7, 60, 7), (8, 3, 50),
+    ])
+    def test_estimate_bytes_equal_serial_loop(self, cpus, seed, n, iterations):
+        a, b = ransac_scene(seed, n)
+        cfg = reg.RansacConfig(iterations=iterations, inlier_threshold=0.3, seed=seed)
+        est = self.register(identity_corr(n), a, b, cfg)
+        assert estimate_bytes(est) == estimate_bytes(serial_ransac(identity_corr(n), a, b, cfg))
+
+    def test_tie_across_tasks_goes_to_earliest(self, cpus, monkeypatch):
+        # noise-free: every non-degenerate sample has all n inliers, so every
+        # task ties at n and the raw winner is the first non-degenerate sample
+        n, iterations = 40, 6000
+        srng = np.random.default_rng(11)
+        a = srng.uniform(-30, 30, (n, 3))
+        b = apply_transform(a, random_transform(srng, 10.0))
+        cfg = reg.RansacConfig(iterations=iterations, inlier_threshold=0.3, seed=11)
+        samples = np.random.default_rng(11).integers(0, n, (iterations, 3))
+        R, t, degenerate = reg._batched_kabsch(a[samples], b[samples])
+        assert (fused_counts(R, t, a, b, 0.3)[~degenerate] == n).all()
+        first = int(np.argmin(degenerate))
+        # the hypotheses differ in their last bits, so bytes tell them apart
+        assert len({R[i].tobytes() for i in range(iterations) if not degenerate[i]}) > 100
+
+        def no_refit(src, dst):  # keep the raw winner
+            raise DegenerateGeometry("refit disabled")
+
+        monkeypatch.setattr(reg, "kabsch_points", no_refit)
+        est = self.register(identity_corr(n), a, b, cfg)
+        assert est.transform.rotation.tobytes() == R[first].tobytes()
+        assert est.transform.translation.tobytes() == t[first].tobytes()
+        assert est.inlier_count == n
+
+    def test_all_degenerate_raises_and_joins_workers(self, cpus):
+        a = np.ones((10, 3))
+        with pytest.raises(TooFewCorrespondences, match="non-degenerate"):
+            self.register(identity_corr(10), a, a, reg.RansacConfig(iterations=5000))
 
 
 class TestRansacConfig:
@@ -330,6 +443,17 @@ class TestRansacConfig:
     def test_rejects_bad_inlier_threshold(self, thr):
         with pytest.raises(ValueError):
             reg.RansacConfig(inlier_threshold=thr)
+
+    @pytest.mark.parametrize("iterations", [2.5, np.float64(3.0), "5", True, 0, -1],
+                             ids=repr)
+    def test_rejects_non_integral_or_small_iterations(self, iterations):
+        with pytest.raises(ValueError, match=re.escape("iterations must be an integer >= 1")):
+            reg.RansacConfig(iterations=iterations)
+
+    def test_accepts_numpy_integer_iterations(self, rng):
+        a = rng.uniform(-10, 10, (20, 3))
+        cfg = reg.RansacConfig(iterations=np.int64(30))
+        assert reg.ransac_register(identity_corr(20), a, a, cfg).inlier_count == 20
 
 
 class TestScoringKernel:

@@ -197,6 +197,21 @@ class TestTrajectories:
         with pytest.raises(ValueError, match=field):
             sim.line_trajectory(**{**args, **kwargs})
 
+    @pytest.mark.parametrize("field,kwargs", [
+        ("radius", dict(radius=float("nan"))), ("radius", dict(radius=float("inf"))),
+        ("radius", dict(radius=0.0)), ("height", dict(height=float("nan"))),
+        ("n_frames", dict(n_frames=0)),
+        ("center_xy", dict(center_xy=(float("inf"), 0.0))),
+        ("center_xy", dict(center_xy=(0.0, float("nan")))),
+        ("start_angle_deg", dict(start_angle_deg=float("nan"))),
+        ("step_deg", dict(step_deg=float("inf"))),
+    ])
+    def test_arc_rejects_bad_settings(self, field, kwargs):
+        args = dict(center_xy=(0.0, 0.0), radius=10.0, start_angle_deg=0.0, step_deg=15.0,
+                    n_frames=3)
+        with pytest.raises(ValueError, match=field):
+            sim.arc_trajectory(**{**args, **kwargs})
+
     def test_arc_radius(self):
         poses = sim.arc_trajectory((0.0, 0.0), 10.0, 0.0, 15.0, 6, height=1.0)
         for p in poses:
