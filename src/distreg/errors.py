@@ -10,6 +10,16 @@ usage, 3 I/O or a malformed input file, 4 nothing to work on (an empty
 result, or too little input for a stage), 5 numeric failure.
 """
 
+import numbers
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Raise a ValueError naming the setting unless ``value`` is an integer
+    of at least ``low``. A bool is not a count, and a float or NaN would pass
+    a bare comparison only to fail later, in ``range`` or as an array size."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}")
+
 
 class DistregError(Exception):
     """Base class for all library errors."""

@@ -7,6 +7,7 @@ treat their inputs as immutable and return new arrays.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,20 @@ class RigidTransform:
     def inverse(self) -> "RigidTransform":
         Rt = self.rotation.T
         return RigidTransform(Rt, -Rt @ self.translation)
+
+
+def on_two_threads(first, second):
+    """``(first(), second())``, with ``second`` on a one-worker pool while the
+    calling thread runs ``first``. Both calls always finish before this
+    returns; an exception from ``first`` wins over one from ``second``.
+
+    The caller does half the work instead of waiting, so two halves need one
+    new thread (and one malloc arena) rather than two. numpy's large kernels
+    and scipy's kd-trees release the GIL, so halves made of them overlap."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(second)
+        # leaving the block joins the worker, also when first() raises
+        return first(), future.result()
 
 
 class NeighborIndex:

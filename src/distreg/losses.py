@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import NonFinite, NoPositives
+from .errors import NonFinite, NoPositives, check_int
 from .geometry import as_points
 
 
@@ -29,8 +29,8 @@ class LossConfig:
                 raise ValueError(f"{name} must be >= 0 and finite")
         if not self.m_n > self.m_p:
             raise ValueError("negative margin must exceed positive margin")
-        if self.n_pos_pairs < 1 or self.n_neg_candidates < 1:
-            raise ValueError("sampling sizes must be >= 1")
+        check_int("n_pos_pairs", self.n_pos_pairs, 1)
+        check_int("n_neg_candidates", self.n_neg_candidates, 1)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedFile, MissingCache, NonFinite, ShapeMismatch, TooFewPoints
+from .errors import (
+    MalformedFile,
+    MissingCache,
+    NonFinite,
+    ShapeMismatch,
+    TooFewPoints,
+    check_int,
+)
 from .geometry import NeighborIndex, Points, as_points
 
 _CHECKPOINT_MAGIC = b"DRFE"
@@ -46,12 +53,13 @@ class ModelConfig:
     decoder_hidden: tuple[int, ...] = (512, 256)
 
     def __post_init__(self):
-        dims = (self.k, self.l, *self.encoder_hidden, self.encoder_post_hidden,
-                self.phi, *self.decoder_hidden)
-        if any(int(d) < 1 for d in dims):
-            raise ValueError("all model dimensions must be >= 1")
+        for name in ("k", "l", "encoder_post_hidden", "phi"):
+            check_int(name, getattr(self, name), 1)
         if len(self.encoder_hidden) != 2:
             raise ValueError("encoder_hidden must name the two per-neighbor widths")
+        for name in ("encoder_hidden", "decoder_hidden"):
+            for width in getattr(self, name):
+                check_int(name, width, 1)
         if self.decoder_variant not in ("asymmetric", "symmetric"):
             raise ValueError(f"unknown decoder variant {self.decoder_variant!r}")
 
@@ -147,8 +155,11 @@ def _neighbor_indices(cloud: Points, k: int) -> np.ndarray:
 # Shared blocks: a ReLU MLP and the pooled-neighborhood block
 # ---------------------------------------------------------------------------
 
-# per-neighbor activations per row block of the pooled block's inference path
-_BLOCK_ELEMENTS = 2_000_000
+# per-neighbor activations per row block of the pooled block (2 MB of float64).
+# On a 2-vCPU Xeon with 2 MB of L2 per core, blocks of 0.5 to 2 MB encoded
+# 1.5k- and 6k-point clouds 9-16% faster than 16 MB blocks, with or without
+# the training cache.
+_BLOCK_ELEMENTS = 250_000
 
 
 def _mlp_forward(x: np.ndarray, layers) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -158,9 +169,10 @@ def _mlp_forward(x: np.ndarray, layers) -> tuple[np.ndarray, list[np.ndarray]]:
     inputs = []
     for i in range(0, len(layers), 2):
         if i:
-            x = _relu(x)
+            np.maximum(x, 0.0, out=x)  # x is this call's own product by now
         inputs.append(x)
-        x = x @ layers[i].T + layers[i + 1]
+        x = x @ layers[i].T
+        x += layers[i + 1]
     return x, inputs
 
 
@@ -177,7 +189,8 @@ def _mlp_backward(layers, inputs, d: np.ndarray) -> tuple[list[np.ndarray], np.n
         grads[i] = flat.T @ x.reshape(-1, x.shape[-1])
         grads[i + 1] = flat.sum(axis=0)
         if i:
-            d = (d @ layers[i]) * (x > 0)
+            d = d @ layers[i]
+            d *= x > 0
     return grads, d
 
 
@@ -198,24 +211,29 @@ def _pool_forward(idx, gather, own, layers, keep: bool):
     channel max-pool over the k neighbors, the concat with the own path's
     (N, h2) activations ``own``, and the post-pool MLP ``layers[4:]``.
 
-    With ``keep`` all rows run as one block and a PoolCache is returned.
-    Without it the per-neighbor stage runs in row blocks whose (B, k, h)
-    intermediates stay cache-resident at large N, with no argmax and no
-    cache; the post-pool MLP always runs once over all rows."""
+    The per-neighbor stage runs in row blocks whose (B, k, h)
+    intermediates stay cache-resident at large N; each row's products do
+    not depend on the block it falls in. With ``keep`` the blocks' layer
+    inputs and winning neighbors are kept and a PoolCache is returned. The
+    post-pool MLP always runs once over all rows."""
     pre, post = layers[:4], layers[4:]
     n, k = idx.shape
+    pooled = np.empty(own.shape)
     if keep:
-        a2, pre_inputs = _mlp_forward(gather(idx, slice(None)), pre)
-        h2v = _relu(a2)
-        pooled = h2v.max(axis=1)
-        argmax = h2v.argmax(axis=1)
-    else:
-        pooled = np.empty(own.shape)
-        block = max(1, _BLOCK_ELEMENTS // (k * own.shape[1]))
-        for start in range(0, n, block):
-            rows = slice(start, start + block)
-            a2, _ = _mlp_forward(gather(idx[rows], rows), pre)
-            pooled[rows] = _relu(a2).max(axis=1)
+        pre_inputs = [np.empty((n, k, w.shape[1])) for w in pre[::2]]
+        argmax = np.empty(own.shape, dtype=np.intp)
+    block = max(1, _BLOCK_ELEMENTS // (k * own.shape[1]))
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
+        h2v, inputs = _mlp_forward(gather(idx[rows], rows), pre)
+        np.maximum(h2v, 0.0, out=h2v)
+        pooled[rows] = h2v.max(axis=1)
+        if keep:
+            # the first neighbor holding each channel's max, as argmax would
+            # pick it, from one pass over a boolean array
+            argmax[rows] = (h2v == pooled[rows, None, :]).argmax(axis=1)
+            for kept, x in zip(pre_inputs, inputs):
+                kept[rows] = x
     out, post_inputs = _mlp_forward(np.concatenate([pooled, own], axis=1), post)
     cache = PoolCache(idx, pre_inputs, argmax, post_inputs) if keep else None
     return out, cache

@@ -8,6 +8,16 @@ unrelated computation is skipped. Identical (seed, config, data) give
 bit-identical training logs and parameters on one numpy/BLAS build at one
 BLAS thread count; another thread count rounds the matrix products
 differently, and the trained parameters drift apart over the epochs.
+
+Threads: a training step runs its two clouds' halves at once, cloud B's on
+a one-worker pool and cloud A's on the calling thread (``on_two_threads``),
+and ``register_pair`` encodes its two clouds the same way. Only the
+contrastive loss couples the clouds; it runs between the two phases on the
+caller. Results are joined in the serial order (A then B), so the bytes do
+not depend on the thread timing. One worker plus the caller, rather than
+two workers, leaves the caller working instead of waiting and starts one
+thread fewer, with one malloc arena fewer: a step's peak memory stays near
+the serial step's.
 """
 
 from __future__ import annotations
@@ -22,12 +32,13 @@ from scipy.spatial import cKDTree
 from . import model as mdl
 from .aggregate import ApgConfig, DisturbConfig, generate_apc, select_nonkey_frames
 from .dataio import FrameSequence, PairRecord, PairSpec, distill_records, relative_gt
-from .errors import NonFinite, NonFiniteLoss, NoPairs
+from .errors import NonFinite, NonFiniteLoss, NoPairs, check_int
 from .geometry import (
     Points,
     RigidTransform,
     apply_transform,
     as_points,
+    on_two_threads,
     voxel_downsample,
 )
 from .losses import LossConfig, LossReport, chamfer, hardest_contrastive, l2_offset_reg, total_loss
@@ -74,14 +85,12 @@ class TrainConfig:
     n_disturb: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        check_int("epochs", self.epochs, 1)
+        check_int("n_disturb", self.n_disturb, 0)
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must be in [0, 1)")
-        if self.n_disturb < 0:
-            raise ValueError("n_disturb must be >= 0")
         if not 0 <= self.input_voxel_size < np.inf:
             raise ValueError("input_voxel_size must be >= 0 and finite")
 
@@ -219,30 +228,45 @@ def pair_loss_and_grads(
 
     The chamfer term reconstructs each cloud against its own aggregate;
     the L2 term sums the two per-cloud offset means.
+
+    Apart from the contrastive term the two clouds never meet, so each
+    cloud's half runs on its own thread (``on_two_threads``: cloud B's on
+    one worker, cloud A's on the caller): first its encoder forward, then,
+    after the contrastive loss on the caller with ``rng``, its decoder,
+    chamfer and L2 terms and backward. The halves are joined in the serial
+    order, A then B, for the loss sums and for the gradient sum and its key
+    order, so the result does not depend on which half finishes first; an
+    error of A's half wins over one of B's.
     """
-    fa, cache_a = mdl.encoder_forward_cached(cloud_a, enc)
-    fb, cache_b = mdl.encoder_forward_cached(cloud_b, enc)
+    (fa, cache_a), (fb, cache_b) = on_two_threads(
+        lambda: mdl.encoder_forward_cached(cloud_a, enc),
+        lambda: mdl.encoder_forward_cached(cloud_b, enc))
 
     l_ml, d_fa, d_fb = hardest_contrastive(fa, fb, gt_pairs, cfg, rng=rng)
 
-    run_decoder = cfg.lambda1 > 0 or cfg.lambda2 > 0
-    l_cd = 0.0
-    l_l2 = 0.0
-    grads: mdl.Gradients = {}
-    for cloud, feats, apc, cache, d_f in ((cloud_a, fa, apc_a, cache_a, d_fa),
-                                          (cloud_b, fb, apc_b, cache_b, d_fb)):
-        dec_cache = d_off = None
-        if run_decoder:
-            offsets, dec_cache = mdl.decoder_forward_cached(feats, dec, cloud=cloud)
-            cd, d_recon = chamfer(mdl.fuse(cloud, offsets), apc)
-            reg, d_reg = l2_offset_reg(offsets)
-            l_cd += cd
-            l_l2 += reg
-            d_off = cfg.lambda1 * d_recon.reshape(offsets.shape) + cfg.lambda2 * d_reg
-        grads = mdl.add_gradients(grads, mdl.backward(enc, cache, d_f, dec, dec_cache, d_off))
-
-    report = total_loss(l_ml, l_cd, l_l2, cfg)
+    (cd_a, reg_a, grads_a), (cd_b, reg_b, grads_b) = on_two_threads(
+        lambda: _cloud_loss_and_grads(cloud_a, fa, apc_a, cache_a, d_fa, enc, dec, cfg),
+        lambda: _cloud_loss_and_grads(cloud_b, fb, apc_b, cache_b, d_fb, enc, dec, cfg))
+    grads = mdl.add_gradients(mdl.add_gradients({}, grads_a), grads_b)
+    report = total_loss(l_ml, 0.0 + cd_a + cd_b, 0.0 + reg_a + reg_b, cfg)
     return report, grads
+
+
+def _cloud_loss_and_grads(cloud, feats, apc, cache, d_f, enc, dec, cfg: LossConfig):
+    """One cloud's chamfer and L2 terms (zero without the decoder) and its
+    gradients, given its metric-loss gradient ``d_f``. The decoder's cache
+    goes before the encoder backward runs, which keeps each thread's peak
+    down; the keys are in ``mdl.backward``'s order."""
+    if not (cfg.lambda1 > 0 or cfg.lambda2 > 0):
+        return 0.0, 0.0, mdl.backward(enc, cache, d_f, dec)
+    offsets, dec_cache = mdl.decoder_forward_cached(feats, dec, cloud=cloud)
+    cd, d_recon = chamfer(mdl.fuse(cloud, offsets), apc)
+    reg, d_reg = l2_offset_reg(offsets)
+    d_off = cfg.lambda1 * d_recon.reshape(offsets.shape) + cfg.lambda2 * d_reg
+    grads, d_fm = mdl.decoder_backward(dec, dec_cache, d_off)
+    del dec_cache
+    grads.update(mdl.encoder_backward(enc, cache, d_f + d_fm))
+    return cd, reg, grads
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +373,7 @@ def train(
                 if key not in contexts:
                     contexts[key] = _build_pair_context(seq_a, seq_b, vi, vj, cfg)
                 vctx = contexts[key]
-                fa = mdl.encoder_forward(vctx.cloud_a, enc)
-                fb = mdl.encoder_forward(vctx.cloud_b, enc)
+                fa, fb = _encode_pair(vctx.cloud_a, vctx.cloud_b, enc)
                 ratios.append(feature_inlier_ratio(fa, fb, vctx.cloud_a, vctx.cloud_b, vctx.gt))
             log.epochs.append(EpochRecord(epoch, float(np.mean(ratios))))
     return enc, dec, log
@@ -377,6 +400,12 @@ def train_curriculum(
 # Evaluation protocols (encoder only: no aggregation or decoder on this path)
 # ---------------------------------------------------------------------------
 
+def _encode_pair(cloud_a, cloud_b, enc: mdl.EncoderParams) -> tuple[np.ndarray, np.ndarray]:
+    """Both clouds' features, cloud B's encoded on a second thread."""
+    return on_two_threads(lambda: mdl.encoder_forward(cloud_a, enc),
+                          lambda: mdl.encoder_forward(cloud_b, enc))
+
+
 def register_pair(
     cloud_a,
     cloud_b,
@@ -384,12 +413,11 @@ def register_pair(
     ransac: RansacConfig,
     input_voxel_size: float = 0.0,
 ):
-    """Online registration: encode both key frames, match features
-    mutually, estimate the transform robustly."""
+    """Online registration: encode both key frames (on two threads),
+    match features mutually, estimate the transform robustly."""
     ca = _prepare_cloud(cloud_a, input_voxel_size)
     cb = _prepare_cloud(cloud_b, input_voxel_size)
-    fa = mdl.encoder_forward(ca, enc)
-    fb = mdl.encoder_forward(cb, enc)
+    fa, fb = _encode_pair(ca, cb, enc)
     corr = match_features(fa, fb)
     return ransac_register(corr, ca, cb, ransac)
 

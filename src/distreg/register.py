@@ -20,8 +20,9 @@ from .errors import (
     EmptyResults,
     MalformedFile,
     TooFewCorrespondences,
+    check_int,
 )
-from .geometry import RigidTransform, as_points, kabsch_points, rre, rte
+from .geometry import RigidTransform, as_points, kabsch_points, on_two_threads, rre, rte
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,7 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        it = self.iterations
-        # bool is an int, and a float or str would fail later in rng.integers
-        if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1:
-            raise ValueError("iterations must be an integer >= 1")
+        check_int("iterations", self.iterations, 1)
         if not (math.isfinite(self.inlier_threshold) and self.inlier_threshold > 0):
             raise ValueError("inlier_threshold must be positive and finite")
 
@@ -91,9 +89,10 @@ class PairResult:
 def mutual_nearest(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mutual nearest rows of two (N, D) arrays: (i, j) is kept iff j is i's
     nearest row of B and i is j's nearest row of A. Returns the (M, 2) int64
-    pairs and each pair's A→B distance."""
-    d_ab, a_to_b = cKDTree(b).query(a, k=1)
-    _, b_to_a = cKDTree(a).query(b, k=1)
+    pairs and each pair's A→B distance. The two trees are built and queried
+    on two threads."""
+    (d_ab, a_to_b), (_, b_to_a) = on_two_threads(lambda: cKDTree(b).query(a, k=1),
+                                                 lambda: cKDTree(a).query(b, k=1))
     ia = np.arange(a.shape[0])
     mutual = b_to_a[a_to_b] == ia
     pairs = np.stack([ia[mutual], a_to_b[mutual]], axis=1)

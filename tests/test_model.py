@@ -48,6 +48,19 @@ class TestInit:
         with pytest.raises(ValueError):
             mdl.ModelConfig(phi=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("k", 2.5), ("k", float("nan")), ("k", True),
+        ("l", 8.0), ("encoder_hidden", (8, 2.5)), ("encoder_post_hidden", float("nan")),
+        ("phi", True), ("decoder_hidden", (16, 8.5)),
+    ])
+    def test_non_integer_dims_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1$"):
+            replace(TINY, **{name: value})
+
+    def test_numpy_integer_dims_accepted(self):
+        cfg = replace(TINY, k=np.int64(4), decoder_hidden=(np.int32(16), 8))
+        assert cfg.k == 4
+
     def test_weight_variance_tracks_fan_in(self):
         cfg = mdl.ModelConfig(k=8, l=64, encoder_hidden=(64, 128), encoder_post_hidden=128,
                               phi=4, decoder_hidden=(256, 128))
@@ -108,8 +121,8 @@ class TestEncoderForward:
             mdl.encoder_forward(cloud, enc), mdl.encoder_forward(cloud, enc))
 
     def test_row_blocked_matches_cached(self, rng):
-        # the inference path runs the per-neighbor stage in row blocks; the
-        # training path runs every row at once
+        # both paths run the per-neighbor stage in row blocks; only the
+        # training path keeps what backward needs
         enc, _ = tiny_params(randomize=6)
         rows_per_block = mdl._BLOCK_ELEMENTS // (TINY.k * TINY.encoder_hidden[1])
         cloud = rng.uniform(-20, 20, (2 * rows_per_block + 7, 3))
@@ -135,6 +148,53 @@ class TestEncoderForward:
             times.append(min(repeats))
         exponent = np.polyfit(np.log(sizes), np.log(times), 1)[0]
         assert exponent < 1.3, f"encoder scaling exponent {exponent:.2f}"
+
+
+class TestPooledBlock:
+    def test_mlp_forward_leaves_input_unchanged(self, rng):
+        enc, _ = tiny_params(randomize=2)
+        x = rng.normal(size=(5, TINY.k, 2 * TINY.encoder_hidden[1]))
+        before = x.copy()
+        out, inputs = mdl._mlp_forward(x, enc.layers[4:])
+        assert x.tobytes() == before.tobytes()
+        assert inputs[0] is x and (inputs[1] >= 0).all()
+
+    def test_argmax_takes_earliest_neighbor_on_ties(self, rng):
+        enc, _ = tiny_params(randomize=4)
+        n, k, d = 30, TINY.k, 3
+        x = rng.normal(size=(n, k, d))
+        x[:, 3] = x[:, 1]  # neighbors 1 and 3 tie in every channel
+        x[::2] = 0.0       # whole rows tie, most channels at the ReLU's zero
+        own = np.zeros((n, TINY.encoder_hidden[1]))
+        idx = np.tile(np.arange(k), (n, 1))
+        _, cache = mdl._pool_forward(idx, lambda nbrs, rows: x[rows], own, enc.layers, keep=True)
+        h2v, _ = mdl._mlp_forward(x, enc.layers[:4])
+        reference = np.maximum(h2v, 0.0).argmax(axis=1)
+        assert cache.argmax.tobytes() == reference.tobytes()
+        assert (cache.argmax != 3).all() and (cache.argmax[::2] == 0).all()
+
+    @pytest.mark.parametrize("n", [5, 16, 41], ids=["one-block", "two-blocks", "many-blocks"])
+    @pytest.mark.parametrize("which", ["encoder", "symmetric-decoder"])
+    def test_blocked_and_unblocked_cached_forwards_identical(self, rng, monkeypatch, n, which):
+        enc, dec = tiny_params(randomize=8, cfg=SYMMETRIC)
+        cloud = rng.uniform(-3, 3, (n, 3))
+        fm = rng.normal(size=(n, TINY.l))
+
+        def forward():
+            if which == "encoder":
+                return mdl.encoder_forward_cached(cloud, enc)
+            return mdl.decoder_forward_cached(fm, dec, cloud=cloud)
+
+        def flat(out, cache):
+            pool = cache.pool
+            return [out, pool.idx, *pool.pre_inputs, pool.argmax, *pool.post_inputs]
+
+        monkeypatch.setattr(mdl, "_BLOCK_ELEMENTS", 10**12)
+        whole = flat(*forward())
+        # eight rows per block
+        monkeypatch.setattr(mdl, "_BLOCK_ELEMENTS", 8 * TINY.k * TINY.encoder_hidden[1])
+        blocked = flat(*forward())
+        assert [a.tobytes() for a in blocked] == [a.tobytes() for a in whole]
 
 
 class TestDecoderForward:

@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,9 @@ from distreg import pipeline as pl
 from distreg import simulate as sim
 from distreg.aggregate import ApgConfig, generate_apc
 from distreg.dataio import PairSpec, distill_records
-from distreg.errors import NoPairs, NonFiniteLoss
+from distreg.errors import NoPairs, NonFinite, NonFiniteLoss
 from distreg.geometry import apply_transform, random_transform
-from distreg.losses import LossConfig
+from distreg.losses import LossConfig, chamfer, hardest_contrastive, l2_offset_reg, total_loss
 from distreg.register import NORMAL, RansacConfig, registration_recall
 
 TINY_MODEL = mdl.ModelConfig(k=6, l=12, encoder_hidden=(8, 16), encoder_post_hidden=16,
@@ -163,7 +164,157 @@ class TestTrain:
         assert exc.value.step >= 0
 
 
+def serial_pair_loss_and_grads(cloud_a, cloud_b, apc_a, apc_b, gt_pairs, enc, dec, cfg, rng):
+    """``pl.pair_loss_and_grads`` as one thread ran it: both clouds encoded,
+    the contrastive loss, then each cloud's decoder terms and backward in
+    turn, summed A then B."""
+    fa, cache_a = mdl.encoder_forward_cached(cloud_a, enc)
+    fb, cache_b = mdl.encoder_forward_cached(cloud_b, enc)
+    l_ml, d_fa, d_fb = hardest_contrastive(fa, fb, gt_pairs, cfg, rng=rng)
+    run_decoder = cfg.lambda1 > 0 or cfg.lambda2 > 0
+    l_cd = 0.0
+    l_l2 = 0.0
+    grads = {}
+    for cloud, feats, apc, cache, d_f in ((cloud_a, fa, apc_a, cache_a, d_fa),
+                                          (cloud_b, fb, apc_b, cache_b, d_fb)):
+        dec_cache = d_off = None
+        if run_decoder:
+            offsets, dec_cache = mdl.decoder_forward_cached(feats, dec, cloud=cloud)
+            cd, d_recon = chamfer(mdl.fuse(cloud, offsets), apc)
+            reg, d_reg = l2_offset_reg(offsets)
+            l_cd += cd
+            l_l2 += reg
+            d_off = cfg.lambda1 * d_recon.reshape(offsets.shape) + cfg.lambda2 * d_reg
+        grads = mdl.add_gradients(grads, mdl.backward(enc, cache, d_f, dec, dec_cache, d_off))
+    return total_loss(l_ml, l_cd, l_l2, cfg), grads
+
+
+@pytest.fixture(scope="module")
+def step_inputs(toy_setup):
+    """One training pair's clouds, aggregates and correspondences."""
+    seq_a, seq_b, pairs = toy_setup
+    cfg = toy_config()
+    i, j = pairs[0]
+    ctx = pl._build_pair_context(seq_a, seq_b, i, j, cfg)
+    apc_a = pl.reachable_target(generate_apc(seq_a, i, cfg.apg), ctx.cloud_a)
+    apc_b = pl.reachable_target(generate_apc(seq_b, j, cfg.apg), ctx.cloud_b)
+    return ctx.cloud_a, ctx.cloud_b, apc_a, apc_b, ctx.gt_pairs
+
+
+def generic_params(variant):
+    """Init params moved off zero, so that the decoder's offsets and every
+    gradient are nonzero."""
+    enc, dec = mdl.init_params(4, replace(TINY_MODEL, decoder_variant=variant))
+    rng = np.random.default_rng(9)
+    for _, t in mdl.named_parameters(enc, dec):
+        t += 0.05 * rng.normal(size=t.shape)
+    return enc, dec
+
+
+class TestTwoThreadStep:
+    @pytest.mark.parametrize("lambdas", [(0.2, 0.002), (0.0, 0.0)], ids=["decoder", "no-decoder"])
+    @pytest.mark.parametrize("variant", ["asymmetric", "symmetric"])
+    def test_bytes_match_serial_reference(self, step_inputs, variant, lambdas):
+        enc, dec = generic_params(variant)
+        cfg = LossConfig(lambda1=lambdas[0], lambda2=lambdas[1])
+        report, grads = pl.pair_loss_and_grads(*step_inputs, enc, dec, cfg,
+                                               rng=np.random.default_rng(11))
+        ref_report, ref_grads = serial_pair_loss_and_grads(*step_inputs, enc, dec, cfg,
+                                                           np.random.default_rng(11))
+        assert report == ref_report
+        assert list(grads) == list(ref_grads)
+        assert all(grads[n].tobytes() == ref_grads[n].tobytes() for n in grads)
+        assert (report.l_cd > 0) == (lambdas[0] > 0)
+
+    def test_threads_joined_after_a_step(self, step_inputs):
+        enc, dec = generic_params("asymmetric")
+        before = threading.active_count()
+        pl.pair_loss_and_grads(*step_inputs, enc, dec, LossConfig(),
+                               rng=np.random.default_rng(0))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("side", ["a", "b", "both"])
+    def test_error_of_either_half_propagates_a_first(self, step_inputs, monkeypatch, side):
+        cloud_a = step_inputs[0]
+        enc, dec = generic_params("asymmetric")
+        fuse = mdl.fuse
+
+        def failing_fuse(cloud, offsets):
+            this = "a" if cloud is cloud_a else "b"
+            if side in (this, "both"):
+                raise NonFinite(f"offsets of cloud {this}")
+            return fuse(cloud, offsets)
+
+        monkeypatch.setattr(mdl, "fuse", failing_fuse)
+        before = threading.active_count()
+        with pytest.raises(NonFinite, match=f"cloud {'b' if side == 'b' else 'a'}"):
+            pl.pair_loss_and_grads(*step_inputs, enc, dec, LossConfig(),
+                                   rng=np.random.default_rng(0))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_half_reports_its_step(self, toy_setup, monkeypatch, side):
+        seq_a, seq_b, pairs = toy_setup
+        cfg = toy_config()
+        a_clouds = {pl._build_pair_context(seq_a, seq_b, i, j, cfg).cloud_a.tobytes()
+                    for i, j in pairs}
+        calls = {"a": 0, "b": 0}
+        fuse = mdl.fuse
+
+        def failing_fuse(cloud, offsets):
+            # each step fuses each of its two clouds once
+            this = "a" if cloud.tobytes() in a_clouds else "b"
+            calls[this] += 1
+            if this == side and calls[this] == 3:
+                raise NonFinite("offsets contain non-finite values")
+            return fuse(cloud, offsets)
+
+        monkeypatch.setattr(mdl, "fuse", failing_fuse)
+        before = threading.active_count()
+        with pytest.raises(NonFiniteLoss) as exc:
+            pl.train(seq_a, seq_b, pairs, cfg)
+        assert exc.value.step == 2
+        assert threading.active_count() == before
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_activation_raises_as_before(self, step_inputs, toy_setup):
+        enc, dec = generic_params("asymmetric")
+        enc.layers[2][0, 0] = np.nan  # a per-neighbor weight: pooled features turn NaN
+        with pytest.raises(NonFinite, match="offsets contain non-finite values"):
+            pl.pair_loss_and_grads(*step_inputs, enc, dec, LossConfig(),
+                                   rng=np.random.default_rng(0))
+        with pytest.raises(NonFinite, match="loss terms must be finite"):
+            pl.pair_loss_and_grads(*step_inputs, enc, dec, LossConfig(lambda1=0.0, lambda2=0.0),
+                                   rng=np.random.default_rng(0))
+        seq_a, seq_b, pairs = toy_setup
+        with pytest.raises(NonFiniteLoss) as exc:
+            pl.train(seq_a, seq_b, pairs, toy_config(), init=(enc, dec))
+        assert exc.value.step == 0
+
+    def test_threads_joined_after_register_pair(self, step_inputs):
+        enc, _ = generic_params("asymmetric")
+        before = threading.active_count()
+        pl.register_pair(step_inputs[0], step_inputs[1], enc, RansacConfig(iterations=100))
+        assert threading.active_count() == before
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 2.5), ("epochs", float("nan")), ("epochs", True), ("epochs", 0),
+        ("n_disturb", float("nan")), ("n_disturb", 1.5), ("n_disturb", True), ("n_disturb", -1),
+    ])
+    def test_train_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            toy_config(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_pos_pairs", 2.5), ("n_pos_pairs", float("nan")), ("n_pos_pairs", True),
+        ("n_neg_candidates", 2.5), ("n_neg_candidates", float("inf")), ("n_neg_candidates", 0),
+    ])
+    def test_loss_sample_sizes_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1$"):
+            LossConfig(**{name: value})
+
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1e-3])
     def test_rejects_bad_learning_rate(self, lr):
         with pytest.raises(ValueError, match="learning_rate"):
