@@ -70,7 +70,6 @@ from .simulate import (
     Cylinder,
     LidarConfig,
     WorldModel,
-    arc_trajectory,
     line_trajectory,
     simulate_scan,
     simulate_sequence,

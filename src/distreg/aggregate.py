@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import FrameSequence
-from .errors import NoNeighborFrames
+from .errors import NoNeighborFrames, check_int
 from .geometry import (
     NeighborIndex,
     Points,
@@ -36,8 +36,7 @@ class ApgConfig:
     include_key_frame: bool = False
 
     def __post_init__(self):
-        if self.psi < 1:
-            raise ValueError("psi must be >= 1")
+        check_int("psi", self.psi, 1)
         for name in ("alpha", "scope_radius", "voxel_size"):
             value = getattr(self, name)
             if not value > 0:
@@ -55,8 +54,7 @@ class DisturbConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_disturb < 0:
-            raise ValueError("n_disturb must be >= 0")
+        check_int("n_disturb", self.n_disturb, 0)
 
 
 def select_nonkey_frames(seq: FrameSequence, key_index: int, cfg: ApgConfig) -> list[int]:

@@ -242,6 +242,20 @@ def _load_datasets(args) -> tuple[dataio.FrameSequence, dataio.FrameSequence]:
     return seq_a, dataio.load_dataset(_check_input(args.dataset_b, "dataset-b"))
 
 
+def _read_pairs(args, seq_a, seq_b) -> list[dataio.PairRecord]:
+    """``--pairs``, each pair naming a frame of ``seq_a`` and one of ``seq_b``."""
+    path = _check_input(args.pairs, "pairs file")
+    records = dataio.read_pairs_file(path)
+    datasets = ((args.dataset, {f.index for f in seq_a}),
+                (args.dataset_b or args.dataset, {f.index for f in seq_b}))
+    for r in records:
+        for index, (dataset, indices) in zip((r.i, r.j), datasets):
+            if index not in indices:
+                raise MalformedFile(f"{path}: pair {r.i},{r.j} names frame {index}, "
+                                    f"which dataset {dataset} lacks")
+    return records
+
+
 def _parse_list(flag: str, text: str, item) -> list:
     """Comma-separated values of one flag, each converted by ``item``."""
     try:
@@ -347,7 +361,7 @@ def cmd_train(args) -> int:
             epochs=[e for lg in logs for e in lg.epochs],
         )
     else:
-        records = dataio.read_pairs_file(_check_input(args.pairs, "pairs file"))
+        records = _read_pairs(args, seq_a, seq_b)
         if not records:
             raise NoPairs("pairs file is empty")
         enc, dec, log = pipeline.train(seq_a, seq_b, [(r.i, r.j) for r in records], cfg)
@@ -401,7 +415,7 @@ def cmd_evaluate(args) -> int:
                 _parse_list("--density-ratios", args.density_ratios, float))
     criterion = register.criterion_by_name(args.criterion)
     seq_a, seq_b = _load_datasets(args)
-    pairs = dataio.read_pairs_file(_check_input(args.pairs, "pairs file"))
+    pairs = _read_pairs(args, seq_a, seq_b)
     if not pairs:
         raise EmptyResultGuard("pairs file is empty")
     enc = None

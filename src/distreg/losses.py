@@ -8,10 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import NonFinite, NoPositives, check_int
-from .geometry import as_points
+from .geometry import NeighborIndex, as_points
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,8 @@ def chamfer(cloud_a, cloud_b) -> tuple[float, np.ndarray]:
     b = as_points(cloud_b, allow_empty=False)
     n, m = a.shape[0], b.shape[0]
 
-    d_ab, nn_ab = cKDTree(b).query(a, k=1)
-    d_ba, nn_ba = cKDTree(a).query(b, k=1)
+    d_ab, nn_ab = NeighborIndex(b).nearest(a)
+    d_ba, nn_ba = NeighborIndex(a).nearest(b)
     value = float(np.mean(d_ab**2) + np.mean(d_ba**2))
 
     grad = (2.0 / n) * (a - b[nn_ab])

@@ -27,13 +27,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import model as mdl
 from .aggregate import ApgConfig, DisturbConfig, generate_apc, select_nonkey_frames
 from .dataio import FrameSequence, PairRecord, PairSpec, distill_records, relative_gt
 from .errors import NonFinite, NonFiniteLoss, NoPairs, check_int
 from .geometry import (
+    NeighborIndex,
     Points,
     RigidTransform,
     apply_transform,
@@ -186,8 +186,7 @@ def feature_inlier_ratio(
 def reachable_target(apc, cloud, reach: float = RECON_REACH) -> Points:
     """Aggregate points within ``reach`` of some point of ``cloud``."""
     target = as_points(apc)
-    d, _ = cKDTree(as_points(cloud)).query(target, k=1, distance_upper_bound=reach)
-    return target[np.isfinite(d)]
+    return target[NeighborIndex(cloud).within(target, reach)]
 
 
 def clip_gradients(grads: mdl.Gradients, max_norm: float = GRAD_CLIP) -> mdl.Gradients:

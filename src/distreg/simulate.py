@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Frame, FrameSequence
+from .errors import check_int
 from .geometry import Points, RigidTransform
 
 _DEFAULT_ELEVATIONS = tuple(np.linspace(-15.0, 5.0, 16))
@@ -27,8 +28,7 @@ class LidarConfig:
     range_noise_sigma: float = 0.01
 
     def __post_init__(self):
-        if self.azimuth_steps < 8:
-            raise ValueError("azimuth_steps must be >= 8")
+        check_int("azimuth_steps", self.azimuth_steps, 8)
         if not 0 < self.max_range < np.inf:
             raise ValueError("max_range must be positive and finite")
         if not 0 <= self.range_noise_sigma < np.inf:
@@ -77,7 +77,6 @@ class WorldModel:
     boxes: tuple[Box, ...] = ()
     cylinders: tuple[Cylinder, ...] = ()
     ground: bool = True
-    seed: int = 0
 
 
 def simulate_world(seed: int, extent: float, n_obstacles: int) -> WorldModel:
@@ -87,8 +86,7 @@ def simulate_world(seed: int, extent: float, n_obstacles: int) -> WorldModel:
     """
     if not 0 < extent < np.inf:
         raise ValueError("extent must be positive and finite")
-    if n_obstacles < 0:
-        raise ValueError("n_obstacles must be >= 0")
+    check_int("n_obstacles", n_obstacles, 0)
     rng = np.random.default_rng(seed)
     half = extent / 2.0
     boxes = []
@@ -103,7 +101,7 @@ def simulate_world(seed: int, extent: float, n_obstacles: int) -> WorldModel:
             r = rng.uniform(0.3, 1.5)
             h = rng.uniform(1.0, 6.0)
             cylinders.append(Cylinder(center_xy=(x, y), radius=r, height=h))
-    return WorldModel(extent=extent, boxes=tuple(boxes), cylinders=tuple(cylinders), seed=seed)
+    return WorldModel(extent=extent, boxes=tuple(boxes), cylinders=tuple(cylinders))
 
 
 def _ray_directions(cfg: LidarConfig) -> Points:
@@ -229,8 +227,7 @@ def line_trajectory(
 ) -> list[RigidTransform]:
     """Straight path with the sensor yawed along the heading, ``height``
     meters above the ground plane."""
-    if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
+    check_int("n_frames", n_frames, 1)
     if not 0 < spacing < np.inf:
         raise ValueError("spacing must be positive and finite")
     if not 0 < height < np.inf:
@@ -251,41 +248,3 @@ def line_trajectory(
     start = np.array([start_xy[0], start_xy[1], height])
     return [RigidTransform(yaw, start + k * spacing * direction) for k in range(n_frames)]
 
-
-def arc_trajectory(
-    center_xy: tuple[float, float],
-    radius: float,
-    start_angle_deg: float,
-    step_deg: float,
-    n_frames: int,
-    height: float = 1.5,
-) -> list[RigidTransform]:
-    """Circular path with the sensor yawed along the local tangent."""
-    if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
-    if not 0 < radius < np.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-    if not 0 < height < np.inf:
-        raise ValueError("height must be positive and finite")
-    if not np.isfinite(center_xy).all():
-        raise ValueError(f"center_xy must be finite, got {tuple(center_xy)}")
-    if not np.isfinite(start_angle_deg):
-        raise ValueError(f"start_angle_deg must be finite, got {start_angle_deg}")
-    if not np.isfinite(step_deg):
-        raise ValueError(f"step_deg must be finite, got {step_deg}")
-    poses = []
-    for k in range(n_frames):
-        phi = np.radians(start_angle_deg + k * step_deg)
-        pos = np.array(
-            [center_xy[0] + radius * np.cos(phi), center_xy[1] + radius * np.sin(phi), height]
-        )
-        tangent = phi + np.pi / 2.0 * np.sign(step_deg if step_deg != 0 else 1.0)
-        yaw = np.array(
-            [
-                [np.cos(tangent), -np.sin(tangent), 0.0],
-                [np.sin(tangent), np.cos(tangent), 0.0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-        poses.append(RigidTransform(yaw, pos))
-    return poses

@@ -4,7 +4,7 @@ import pytest
 from distreg import aggregate as agg
 from distreg.dataio import Frame, FrameSequence
 from distreg.errors import EmptyCloud, NoNeighborFrames
-from distreg.geometry import RigidTransform, voxel_downsample
+from distreg.geometry import RigidTransform, rotation_about_axis, voxel_downsample
 
 CFG = agg.ApgConfig(psi=3, alpha=10.0, scope_radius=50.0, voxel_size=0.3)
 
@@ -27,6 +27,16 @@ class TestConfig:
             agg.ApgConfig(voxel_size=-0.1)
         with pytest.raises(ValueError):
             agg.DisturbConfig(-1)
+
+    @pytest.mark.parametrize("value", [2.5, float("nan"), True])
+    def test_psi_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="psi must be an integer"):
+            agg.ApgConfig(psi=value)
+
+    @pytest.mark.parametrize("value", [2.5, float("nan"), True])
+    def test_n_disturb_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="n_disturb must be an integer"):
+            agg.DisturbConfig(value)
 
     @pytest.mark.parametrize("field", ["alpha", "scope_radius", "voxel_size"])
     @pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0])
@@ -66,7 +76,11 @@ class TestSelectNonkeyFrames:
         from distreg import simulate as sim
         world = sim.simulate_world(1, 120.0, 4)
         lidar = sim.LidarConfig(azimuth_steps=64, elevation_angles=(-5.0,))
-        traj = sim.arc_trajectory((0.0, 0.0), 40.0, 0.0, 2.0, 60)
+        # 60 poses 2 degrees apart on a 40 m circle about the origin, yawed
+        # along the tangent
+        angles = np.radians(2.0 * np.arange(60))
+        traj = [RigidTransform(rotation_about_axis((0, 0, 1), phi + np.pi / 2),
+                               [40.0 * np.cos(phi), 40.0 * np.sin(phi), 1.5]) for phi in angles]
         seq = sim.simulate_sequence(world, traj, lidar, seed=0)
         cfg = agg.ApgConfig(psi=3, alpha=5.0)
         key = 30

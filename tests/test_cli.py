@@ -535,6 +535,34 @@ class TestMalformedInput:
                             ds / "meta.json", capsys)
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--epochs", 1, "--k", 6],
+        ["evaluate", "--checkpoint", "CKPT"],
+        ["evaluate", "--oracle-gt"],
+        ["evaluate", "--checkpoint", "CKPT", "--density-ratios", "0.5,1"],
+    ], ids=["train", "evaluate", "oracle-gt", "density-ratios"])
+    def test_pair_names_missing_frame(self, dataset, checkpoint, tmp_path, capsys, command):
+        # frame 99 is not in the 16-frame dataset; nothing is written
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("i,j,distance_m,overlap\n0,3,4.2,0.5\n2,99,9.8,0.3\n")
+        argv = [checkpoint if a == "CKPT" else a for a in command]
+        self._expect_exit_3([*argv, "--dataset", dataset, "--pairs", pairs,
+                             "--out", tmp_path / "out"], pairs, capsys)
+        assert sorted(tmp_path.iterdir()) == [pairs]
+
+    @pytest.mark.parametrize("row,side", [("99,3", 0), ("3,99", 1)], ids=["i", "j"])
+    def test_missing_frame_names_pair_and_dataset(self, dataset, tmp_path, capsys, row, side):
+        other = tmp_path / "other"
+        shutil.copytree(dataset, other)
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text(f"i,j,distance_m,overlap\n{row},4.2,0.5\n")
+        capsys.readouterr()
+        assert run(["evaluate", "--oracle-gt", "--dataset", dataset, "--dataset-b", other,
+                    "--pairs", pairs, "--out", tmp_path / "r.csv"]) == 3
+        named = (dataset, other)[side]
+        assert capsys.readouterr().err == (
+            f"error: {pairs}: pair {row} names frame 99, which dataset {named} lacks\n")
+
     def test_malformed_checkpoint(self, dataset, pairs_file, checkpoint, tmp_path, capsys):
         # a first weight four inputs wide used to end in a matmul traceback
         enc, dec = mdl.load_checkpoint(checkpoint)

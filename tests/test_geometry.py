@@ -1,5 +1,6 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +117,14 @@ class TestKabsch:
 
 
 class TestNeighborIndex:
+    def test_only_index_over_points(self):
+        # every kd-tree over points is a NeighborIndex; register builds its
+        # own only for feature maps, which may have any width
+        sources = sorted(Path(g.__file__).parent.glob("*.py"))
+        users = {p.name for p in sources
+                 if "cKDTree" in (text := p.read_text()) or "scipy.spatial" in text}
+        assert len(sources) > 2 and users == {"geometry.py", "register.py"}
+
     def test_single_point(self):
         idx = g.NeighborIndex([[1.0, 2.0, 3.0]])
         d, i = idx.nearest([[0.0, 0.0, 0.0]])

@@ -3,6 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from distreg import losses as lo
 from distreg.errors import EmptyCloud, NonFinite, NoPositives
@@ -12,6 +13,17 @@ from distreg.geometry import apply_transform, random_transform
 def brute_chamfer(a, b):
     d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
     return d2.min(axis=1).mean() + d2.min(axis=0).mean()
+
+
+def ckdtree_chamfer(a, b):
+    """``chamfer`` as it was with raw kd-trees, before it used NeighborIndex."""
+    n, m = a.shape[0], b.shape[0]
+    d_ab, nn_ab = cKDTree(b).query(a, k=1)
+    d_ba, nn_ba = cKDTree(a).query(b, k=1)
+    value = float(np.mean(d_ab**2) + np.mean(d_ba**2))
+    grad = (2.0 / n) * (a - b[nn_ab])
+    np.add.at(grad, nn_ba, (2.0 / m) * (a[nn_ba] - b))
+    return value, grad
 
 
 class TestChamfer:
@@ -70,6 +82,17 @@ class TestChamfer:
     def test_empty_raises(self, rng):
         with pytest.raises(EmptyCloud):
             lo.chamfer(np.zeros((0, 3)), rng.uniform(-1, 1, (4, 3)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bytes_match_raw_kdtree_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-5, 5, (300 + 40 * seed, 3))
+        # b shares points with a, so both directions see exact-zero ties
+        b = np.concatenate([rng.uniform(-5, 5, (250, 3)), a[::7]])
+        value, grad = lo.chamfer(a, b)
+        ref_value, ref_grad = ckdtree_chamfer(a, b)
+        assert value == ref_value
+        assert grad.tobytes() == ref_grad.tobytes()
 
 
 class TestOffsetReg:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from distreg import model as mdl
 from distreg import pipeline as pl
@@ -425,6 +426,26 @@ class TestFirstSteps:
         cloud = np.zeros((1, 3))
         apc = np.array([[0.5, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -0.9]])
         np.testing.assert_array_equal(pl.reachable_target(apc, cloud, 1.0), apc[[0, 2]])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reachable_target_matches_raw_kdtree_reference(self, seed):
+        def ckdtree_reachable_target(apc, cloud, reach):
+            # the crop as it was with a raw kd-tree, before it used NeighborIndex
+            d, _ = cKDTree(cloud).query(apc, k=1, distance_upper_bound=reach)
+            return apc[np.isfinite(d)]
+
+        rng = np.random.default_rng(seed)
+        # the origin is the only cloud point within 2 m of the boundary targets
+        cloud = np.concatenate([np.zeros((1, 3)), rng.uniform(3, 9, (400, 3))])
+        just_inside = np.nextafter(1.0, 0.0)
+        boundary = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0],
+                             [just_inside, 0.0, 0.0], [0.0, 0.0, -just_inside]])
+        apc = np.concatenate([rng.uniform(1, 11, (600, 3)), boundary])
+        got = pl.reachable_target(apc, cloud, pl.RECON_REACH)
+        assert pl.RECON_REACH == 1.0
+        assert got.tobytes() == ckdtree_reachable_target(apc, cloud, pl.RECON_REACH).tobytes()
+        # a target exactly at reach is dropped, one an ulp inside it kept
+        assert pl.reachable_target(boundary, cloud, 1.0).tobytes() == boundary[3:].tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -39,6 +39,11 @@ class TestWorld:
         with pytest.raises(ValueError):
             sim.Cylinder(center_xy=(0, 0), radius=-1, height=1)
 
+    @pytest.mark.parametrize("value", [2.5, float("nan"), True])
+    def test_n_obstacles_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="n_obstacles must be an integer"):
+            sim.simulate_world(0, 10.0, value)
+
     @pytest.mark.parametrize("extent", [float("nan"), float("inf"), 0.0])
     def test_rejects_nan_or_infinite_extent(self, extent):
         with pytest.raises(ValueError, match="extent"):
@@ -57,6 +62,12 @@ class TestLidarConfig:
         # clouds, a NaN sigma noiseless ones
         with pytest.raises(ValueError, match=field):
             sim.LidarConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 8.5, float("nan"), True])
+    def test_azimuth_steps_must_be_an_integer(self, value):
+        # 8.5 steps used to give 9 azimuths spaced 2*pi/8.5 apart
+        with pytest.raises(ValueError, match="azimuth_steps must be an integer"):
+            sim.LidarConfig(azimuth_steps=value)
 
 
 class TestScan:
@@ -197,22 +208,7 @@ class TestTrajectories:
         with pytest.raises(ValueError, match=field):
             sim.line_trajectory(**{**args, **kwargs})
 
-    @pytest.mark.parametrize("field,kwargs", [
-        ("radius", dict(radius=float("nan"))), ("radius", dict(radius=float("inf"))),
-        ("radius", dict(radius=0.0)), ("height", dict(height=float("nan"))),
-        ("n_frames", dict(n_frames=0)),
-        ("center_xy", dict(center_xy=(float("inf"), 0.0))),
-        ("center_xy", dict(center_xy=(0.0, float("nan")))),
-        ("start_angle_deg", dict(start_angle_deg=float("nan"))),
-        ("step_deg", dict(step_deg=float("inf"))),
-    ])
-    def test_arc_rejects_bad_settings(self, field, kwargs):
-        args = dict(center_xy=(0.0, 0.0), radius=10.0, start_angle_deg=0.0, step_deg=15.0,
-                    n_frames=3)
-        with pytest.raises(ValueError, match=field):
-            sim.arc_trajectory(**{**args, **kwargs})
-
-    def test_arc_radius(self):
-        poses = sim.arc_trajectory((0.0, 0.0), 10.0, 0.0, 15.0, 6, height=1.0)
-        for p in poses:
-            assert np.hypot(p.translation[0], p.translation[1]) == pytest.approx(10.0)
+    @pytest.mark.parametrize("value", [2.5, float("nan"), True])
+    def test_line_n_frames_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="n_frames must be an integer"):
+            sim.line_trajectory((0.0, 0.0), 0.0, 1.0, value)
