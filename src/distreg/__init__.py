@@ -34,7 +34,6 @@ from .model import (
     EncoderParams,
     ModelConfig,
     backward,
-    decoder_forward,
     encoder_forward,
     fuse,
     init_params,

@@ -33,7 +33,6 @@ class ApgConfig:
     alpha: float = 10.0
     scope_radius: float = 50.0
     voxel_size: float = 0.3
-    include_key_frame: bool = False
 
     def __post_init__(self):
         check_int("psi", self.psi, 1)
@@ -104,9 +103,9 @@ def generate_apc(
     cfg: ApgConfig,
     disturb: DisturbConfig | None = None,
 ) -> Points:
-    """Aggregate the selected non-key frames (plus the key frame when
-    configured) in the key frame's sensor coordinates, crop to the scope
-    sphere, and voxel-downsample."""
+    """Aggregate the selected non-key frames (never the key frame itself) in
+    the key frame's sensor coordinates, crop to the scope sphere, and
+    voxel-downsample."""
     nonkey = select_nonkey_frames(seq, key_index, cfg)
     if not nonkey:
         raise NoNeighborFrames(f"no non-key frames available around frame {key_index}")
@@ -118,19 +117,15 @@ def generate_apc(
     key_pose = seq[seq.position_of(key_index)].pose
     to_key = key_pose.inverse()
     chunks = []
-    source_indices = list(nonkey)
-    if cfg.include_key_frame:
-        source_indices.append(key_index)
-    for pos, idx in enumerate(source_indices):
+    for pos, idx in enumerate(nonkey):
         frame = seq[seq.position_of(idx)]
         pts = frame.cloud
-        if pos in rotations and idx != key_index:
+        if pos in rotations:
             pts = pts @ rotations[pos].T  # about the frame's own sensor origin
         pts = apply_transform(pts, to_key.compose(frame.pose))
         pts = pts[np.linalg.norm(pts, axis=1) <= cfg.scope_radius]
         chunks.append(pts)
-    union = np.vstack(chunks) if chunks else np.zeros((0, 3))
-    apc = voxel_downsample(union, cfg.voxel_size)
+    apc = voxel_downsample(np.vstack(chunks), cfg.voxel_size)
     # centroid rounding can push a point past the sphere by ~1 ulp; re-crop
     return apc[np.linalg.norm(apc, axis=1) <= cfg.scope_radius]
 

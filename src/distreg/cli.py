@@ -344,6 +344,8 @@ def _train_config(args) -> pipeline.TrainConfig:
 
 def cmd_train(args) -> int:
     cfg = _train_config(args)
+    if args.curriculum and args.pairs:
+        raise UsageError("--pairs cannot be combined with --curriculum (it distills its own)")
     if args.curriculum:
         with _usage_errors():
             spec = pipeline.CurriculumSpec(

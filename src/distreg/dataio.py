@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedFile, NonRigidPose
+from .errors import MalformedFile, NonRigidPose, UnknownFrame
 from .geometry import NeighborIndex, Points, RigidTransform, as_points, overlap_ratio
 
 _POSE_REPAIR_TOL = 1e-3
@@ -54,10 +54,11 @@ class FrameSequence:
         return iter(self.frames)
 
     def position_of(self, frame_index: int) -> int:
+        """Position of the frame with index ``frame_index``, else UnknownFrame."""
         for pos, f in enumerate(self.frames):
             if f.index == frame_index:
                 return pos
-        raise KeyError(f"no frame with index {frame_index}")
+        raise UnknownFrame(f"no frame with index {frame_index}")
 
     def origins(self) -> Points:
         """Sensor origins (pose translations), shape (F, 3)."""
@@ -83,11 +84,10 @@ def load_kitti_bin(path) -> Points:
     return points
 
 
-def write_kitti_bin(path, cloud, reflectance=None) -> None:
-    """Write points as little-endian float32 (x, y, z, reflectance) records."""
+def write_kitti_bin(path, cloud) -> None:
+    """Write points as little-endian float32 (x, y, z, 0) records."""
     pts = as_points(cloud)
-    refl = np.zeros(pts.shape[0]) if reflectance is None else np.asarray(reflectance)
-    records = np.hstack([pts, refl.reshape(-1, 1)]).astype("<f4")
+    records = np.hstack([pts, np.zeros((pts.shape[0], 1))]).astype("<f4")
     Path(path).write_bytes(records.tobytes())
 
 

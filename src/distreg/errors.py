@@ -43,6 +43,12 @@ class MalformedFile(DistregError):
     exit_code = 3
 
 
+class UnknownFrame(DistregError):
+    """A frame index that the sequence does not hold."""
+
+    exit_code = 3
+
+
 class NonRigidPose(DistregError):
     """A parsed pose violates orthonormality beyond the repair threshold."""
 

@@ -73,9 +73,6 @@ class RigidTransform:
     def matrix34(self) -> np.ndarray:
         return np.hstack([self.rotation, self.translation.reshape(3, 1)])
 
-    def apply(self, points) -> Points:
-        return apply_transform(points, self)
-
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """Return self ∘ other: the transform applying ``other`` first."""
         return RigidTransform(

@@ -7,9 +7,10 @@ invariant by construction), passed through a shared per-neighbor MLP,
 max-pooled, concatenated with the point's own first-stage embedding, and
 projected to ``l`` dimensions.
 
-The decoder turns one feature vector into ``phi`` location offsets. The
-asymmetric variant is a plain row-wise MLP; the symmetric variant mirrors
-the encoder stages over the cloud's neighborhoods.
+The decoder turns one feature vector into ``phi`` location offsets. It runs
+only in training; registration uses the encoder alone. The asymmetric
+variant is a plain row-wise MLP; the symmetric variant mirrors the encoder
+stages over the encoder's own neighborhoods.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ class EncoderParams:
 class DecoderParams:
     variant: str               # "asymmetric" | "symmetric"
     layers: tuple[np.ndarray, ...]  # flat (w, b, w, b, ...) in forward order
-    k: int | None = None       # symmetric only: neighborhood size
 
     @property
     def phi(self) -> int:
@@ -135,20 +135,12 @@ def init_params(seed, cfg: ModelConfig = ModelConfig()) -> tuple[EncoderParams, 
         v2, c2 = linear(h2, h1)
         v3, c3 = linear(h3, 2 * h2)
         v4, c4 = linear(out_dim, h3)
-        dec = DecoderParams("symmetric", (v1, c1, v2, c2, v3, c3, np.zeros_like(v4), c4), k=cfg.k)
+        dec = DecoderParams("symmetric", (v1, c1, v2, c2, v3, c3, np.zeros_like(v4), c4))
     return enc, dec
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
-
-
-def _neighbor_indices(cloud: Points, k: int) -> np.ndarray:
-    """k nearest neighbors of every point, self included at distance zero."""
-    if cloud.shape[0] < k:
-        raise TooFewPoints(f"cloud has {cloud.shape[0]} points, encoder needs >= {k}")
-    _, idx = NeighborIndex(cloud).knearest(cloud, k)
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +263,10 @@ class EncoderCache:
 
 def _encoder_run(cloud, params: EncoderParams, keep: bool):
     pts = as_points(cloud, allow_empty=False)
-    idx = _neighbor_indices(pts, params.k)
     n = pts.shape[0]
+    if n < params.k:
+        raise TooFewPoints(f"cloud has {n} points, encoder needs >= {params.k}")
+    _, idx = NeighborIndex(pts).knearest(pts, params.k)  # self included, at distance zero
 
     _, b1, w2, b2 = params.layers[:4]
     h1o = _relu(b1)                            # per-neighbor stage at the zero input
@@ -334,39 +328,27 @@ class DecoderCache:
     pool: PoolCache | None    # the symmetric decoder's pooled block
 
 
-def _assert_feature_width(fm: np.ndarray, expected: int) -> None:
-    if fm.ndim != 2 or fm.shape[1] != expected:
-        raise ShapeMismatch(f"feature map has shape {fm.shape}, expected (N, {expected})")
-
-
-def decoder_forward(fm, params: DecoderParams, cloud=None) -> np.ndarray:
-    """Offsets, shape (N, phi, 3). The symmetric variant additionally needs
-    the cloud to rebuild neighborhoods."""
-    out, _ = decoder_forward_cached(fm, params, cloud=cloud, keep=False)
-    return out
-
-
-def decoder_forward_cached(fm, params: DecoderParams, cloud=None, keep: bool = True):
-    """The asymmetric variant is a row-wise MLP; the symmetric one is the
-    pooled block over the feature map's neighborhoods, with each point's
-    own feature through the per-neighbor stage as the own path."""
+def decoder_forward_cached(fm, params: DecoderParams, idx=None) -> tuple[np.ndarray, DecoderCache]:
+    """Offsets (N, phi, 3) and the cache for ``decoder_backward`` (training
+    only). The asymmetric variant is a row-wise MLP; the symmetric one is the
+    pooled block over the encoder's (N, k) neighbor indices of the same cloud
+    (``EncoderCache.pool.idx``), with each point's own feature through the
+    per-neighbor stage as the own path."""
     fm = np.asarray(fm, dtype=np.float64)
-    _assert_feature_width(fm, params.layers[0].shape[1])
+    width = params.layers[0].shape[1]
+    if fm.ndim != 2 or fm.shape[1] != width:
+        raise ShapeMismatch(f"feature map has shape {fm.shape}, expected (N, {width})")
     pool = None
     if params.variant == "asymmetric":
         out, inputs = _mlp_forward(fm, params.layers)
     else:
-        if cloud is None:
-            raise ShapeMismatch("symmetric decoder requires the source cloud")
-        pts = as_points(cloud, allow_empty=False)
-        if pts.shape[0] != fm.shape[0]:
-            raise ShapeMismatch("feature map rows must match cloud points")
-        idx = _neighbor_indices(pts, params.k)
+        if idx is None or idx.shape[0] != fm.shape[0]:
+            raise ShapeMismatch("symmetric decoder requires the encoder's neighbor "
+                                "indices, one row per feature row")
         a2o, inputs = _mlp_forward(fm, params.layers[:4])
         out, pool = _pool_forward(idx, lambda nbrs, rows: fm[nbrs], _relu(a2o),
-                                  params.layers, keep)
-    cache = DecoderCache(inputs, pool) if keep else None
-    return out.reshape(fm.shape[0], -1, 3), cache
+                                  params.layers, keep=True)
+    return out.reshape(fm.shape[0], -1, 3), DecoderCache(inputs, pool)
 
 
 def decoder_backward(
@@ -458,13 +440,14 @@ def add_gradients(a: Gradients, b: Gradients) -> Gradients:
 def save_checkpoint(path, enc: EncoderParams, dec: DecoderParams) -> None:
     """Versioned binary: header (magic, version, k, l, phi, variant,
     normalize, decoder k), then every tensor as little-endian float64 in
-    declaration order."""
+    declaration order. Decoder k is the encoder's k for the symmetric decoder,
+    which pools over the encoder's neighborhoods, and 0 for the asymmetric."""
     variant_code = 0 if dec.variant == "asymmetric" else 1
     tensors = [t for _, t in named_parameters(enc, dec)]
     parts = [
         _CHECKPOINT_MAGIC,
         struct.pack("<IIIIBBHI", _CHECKPOINT_VERSION, enc.k, enc.l, dec.phi,
-                    variant_code, int(enc.normalize), 0, dec.k or 0),
+                    variant_code, int(enc.normalize), 0, enc.k * variant_code),
         struct.pack("<I", len(tensors)),
     ]
     for t in tensors:
@@ -522,8 +505,9 @@ def load_checkpoint(path) -> tuple[EncoderParams, DecoderParams]:
     if variant_code not in (0, 1) or normalize not in (0, 1) or reserved:
         raise MalformedFile(f"{path}: bad checkpoint flags {variant_code}, {normalize}, {reserved}")
     symmetric = variant_code == 1
-    if k < 1 or (symmetric and dec_k < 1):
-        raise MalformedFile(f"{path}: neighborhood sizes {k}, {dec_k} must be >= 1")
+    if k < 1 or dec_k != k * variant_code:
+        raise MalformedFile(f"{path}: encoder k {k}, decoder k {dec_k}; need k >= 1 and "
+                            f"decoder k {'equal to it' if symmetric else '0'}")
     n_dec = len(tensors) - 8
     if n_dec < 2 or n_dec % 2 or (symmetric and n_dec != 8):
         raise MalformedFile(f"{path}: checkpoint has {len(tensors)} tensors")
@@ -539,6 +523,5 @@ def load_checkpoint(path) -> tuple[EncoderParams, DecoderParams]:
         raise MalformedFile(f"{path}: header sizes l={l}, phi={phi} disagree with the "
                             f"tensors' {width} features and {out} offset values")
     enc = EncoderParams(k, bool(normalize), tuple(enc_layers))
-    dec = DecoderParams("symmetric" if symmetric else "asymmetric", tuple(dec_layers),
-                        k=dec_k or None)
+    dec = DecoderParams("symmetric" if symmetric else "asymmetric", tuple(dec_layers))
     return enc, dec

@@ -258,7 +258,7 @@ def _cloud_loss_and_grads(cloud, feats, apc, cache, d_f, enc, dec, cfg: LossConf
     down; the keys are in ``mdl.backward``'s order."""
     if not (cfg.lambda1 > 0 or cfg.lambda2 > 0):
         return 0.0, 0.0, mdl.backward(enc, cache, d_f, dec)
-    offsets, dec_cache = mdl.decoder_forward_cached(feats, dec, cloud=cloud)
+    offsets, dec_cache = mdl.decoder_forward_cached(feats, dec, cache.pool.idx)
     cd, d_recon = chamfer(mdl.fuse(cloud, offsets), apc)
     reg, d_reg = l2_offset_reg(offsets)
     d_off = cfg.lambda1 * d_recon.reshape(offsets.shape) + cfg.lambda2 * d_reg
@@ -480,10 +480,12 @@ def check_distance_bins(bins) -> list[tuple[float, float]]:
 
 
 def check_density_ratios(ratios) -> list[float]:
-    """Density ratios as floats, each in (0, 1]."""
+    """Density ratios as floats, each in (0, 1] and none repeated."""
     ratios = [float(r) for r in ratios]
     if any(not 0 < r <= 1 for r in ratios):
         raise ValueError("density ratios must be in (0, 1]")
+    if len(set(ratios)) != len(ratios):
+        raise ValueError("density ratios must not repeat")
     return ratios
 
 

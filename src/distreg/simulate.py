@@ -55,18 +55,16 @@ class Box:
 
 @dataclass(frozen=True)
 class Cylinder:
-    """Vertical cylinder from z=z0 to z=z0+height."""
+    """Vertical cylinder standing on the ground plane, from z=0 to z=height.
+    The ray test has no bottom cap; on the ground none is ever seen."""
 
     center_xy: tuple[float, float]
     radius: float
     height: float
-    z0: float = 0.0
 
     def __post_init__(self):
         if self.radius <= 0 or self.height <= 0:
             raise ValueError("cylinder dimensions must be positive")
-        if self.z0 < -1e-9:
-            raise ValueError("cylinder must sit above the ground plane")
 
 
 @dataclass(frozen=True)
@@ -142,7 +140,6 @@ def _intersect_box(origin, dirs, box: Box) -> np.ndarray:
 
 def _intersect_cylinder(origin, dirs, cyl: Cylinder) -> np.ndarray:
     cx, cy = cyl.center_xy
-    z_lo, z_hi = cyl.z0, cyl.z0 + cyl.height
     ox, oy = origin[0] - cx, origin[1] - cy
     dx, dy = dirs[:, 0], dirs[:, 1]
     a = dx * dx + dy * dy
@@ -156,12 +153,12 @@ def _intersect_cylinder(origin, dirs, cyl: Cylinder) -> np.ndarray:
     for sign in (-1.0, 1.0):  # near wall first, far wall as seen from inside
         tc = np.where(ok, (-b + sign * sq) / denom, np.inf)
         z = origin[2] + np.where(ok, tc, 0.0) * dirs[:, 2]
-        valid = ok & (tc > 1e-9) & (z >= z_lo) & (z <= z_hi)
+        valid = ok & (tc > 1e-9) & (z >= 0.0) & (z <= cyl.height)
         t = np.where(valid & (tc < t), tc, t)
     # top cap
     dz = dirs[:, 2]
     movable = np.abs(dz) > 1e-12
-    t_cap = np.where(movable, (z_hi - origin[2]) / np.where(movable, dz, 1.0), np.inf)
+    t_cap = np.where(movable, (cyl.height - origin[2]) / np.where(movable, dz, 1.0), np.inf)
     reach = np.where(movable, t_cap, 0.0)
     px = origin[0] + reach * dirs[:, 0] - cx
     py = origin[1] + reach * dirs[:, 1] - cy

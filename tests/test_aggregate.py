@@ -18,7 +18,6 @@ class TestConfig:
     def test_defaults_match_protocol(self):
         cfg = agg.ApgConfig()
         assert cfg.psi == 3 and cfg.alpha == 10.0
-        assert not cfg.include_key_frame
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -130,13 +129,18 @@ class TestGenerateApc:
             key = key[np.linalg.norm(key, axis=1) <= CFG.scope_radius]
             assert len(apc) >= len(voxel_downsample(key, CFG.voxel_size))
 
-    def test_include_key_frame_flag(self, small_scene):
-        _, _, seq = small_scene
-        without = agg.generate_apc(seq, 35, CFG)
-        with_key = agg.generate_apc(
-            seq, 35, agg.ApgConfig(psi=3, alpha=10.0, scope_radius=50.0,
-                                   voxel_size=0.3, include_key_frame=True))
-        assert len(with_key) >= len(without)
+    def test_key_frame_never_aggregated(self, rng):
+        # identity poses and one small cube of points per frame, 3 m apart:
+        # the selector picks frames 0 and 4 around key frame 3, and only
+        # their cubes reach the aggregate
+        cube = rng.uniform(0.0, 1.0, (200, 3))
+        seq = FrameSequence(tuple(Frame(cube + [3.0 * k, 0.0, 0.0], RigidTransform.identity(), k)
+                                  for k in range(7)))
+        cfg = agg.ApgConfig(psi=3, alpha=10.0, scope_radius=25.0, voxel_size=0.5)
+        assert agg.select_nonkey_frames(seq, 3, cfg) == [0, 4]
+        apc = agg.generate_apc(seq, 3, cfg)
+        assert len(apc) > 0
+        assert sorted(set(np.floor(apc[:, 0] / 3.0).astype(int))) == [0, 4]
 
     def test_no_neighbor_frames(self, rng):
         seq = identity_sequence(rng.uniform(-1, 1, (50, 3)), 1)
@@ -160,21 +164,6 @@ class TestGenerateApc:
         _, _, seq = small_scene
         with pytest.raises(ValueError):
             agg.generate_apc(seq, 35, CFG, agg.DisturbConfig(7, seed=0))
-
-    def test_key_frame_points_never_move_under_disturbance(self, rng):
-        # identical frames with identity poses: the selector collapses each
-        # side to one frame; disturbing both leaves the included key frame's
-        # voxel cells occupied
-        pts = rng.uniform(-20, 20, (800, 3))
-        seq = identity_sequence(pts, 7)
-        cfg = agg.ApgConfig(psi=3, alpha=10.0, scope_radius=25.0, voxel_size=0.5,
-                            include_key_frame=True)
-        assert agg.select_nonkey_frames(seq, 3, cfg) == [0, 4]
-        disturbed = agg.generate_apc(seq, 3, cfg, agg.DisturbConfig(2, seed=1))
-        key_cells = {tuple(c) for c in
-                     np.floor(pts[np.linalg.norm(pts, axis=1) <= 25.0] / 0.5).astype(int)}
-        apc_cells = {tuple(c) for c in np.floor(disturbed / 0.5).astype(int)}
-        assert key_cells <= apc_cells
 
 
 class TestCoverageGain:

@@ -266,6 +266,15 @@ class TestTrain:
     def test_pairs_required_without_curriculum(self, dataset, tmp_path):
         assert run(["train", "--dataset", dataset, "--out", tmp_path / "x.ckpt"]) == 2
 
+    def test_pairs_with_curriculum_usage_error(self, dataset, pairs_file, tmp_path, capsys):
+        # the curriculum distills its own pairs and would never read the file
+        out = tmp_path / "x.ckpt"
+        assert run(["train", "--dataset", dataset, "--curriculum", "--pairs", pairs_file,
+                    "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --pairs cannot be combined")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [("--epochs", 0), ("--momentum", 1),
                                             ("--decoder-hidden", "x"), ("--k", 0),
                                             ("--m-pos", 2), ("--psi", 0),
@@ -421,6 +430,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("extra", [
         ["--density-ratios", "0"], ["--density-ratios", "-0.5"],
         ["--density-ratios", "1.5"], ["--density-ratios", "abc"],
+        ["--density-ratios", "0.5,0.5"],
         ["--bins", "5"], ["--bins", "x:y"], ["--bins", "9:4"], ["--bins", "4:9,6:14"],
         ["--density-ratios", "0.5", "--bins", "4:9"], ["--density-ratios", "0.5", "--oracle-gt"],
         ["--input-voxel-size", "nan"], ["--input-voxel-size", "-1"],

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from distreg import dataio as dio
 from distreg import geometry as g
-from distreg.errors import MalformedFile, NonRigidPose
+from distreg.errors import MalformedFile, NonRigidPose, UnknownFrame
 
 
 def file_bytes(header: bytes):
@@ -137,8 +137,9 @@ class TestFrameSequence:
         seq = dio.FrameSequence(tuple(
             dio.Frame(pts, g.RigidTransform.identity(), idx) for idx in (0, 3, 7)))
         assert seq.position_of(7) == 2
-        with pytest.raises(KeyError):
+        with pytest.raises(UnknownFrame, match="^no frame with index 4$"):
             seq.position_of(4)
+        assert UnknownFrame.exit_code == 3
 
 
 def make_sequence(clouds, poses, start=0):
@@ -270,7 +271,8 @@ class TestRelativeGt:
         cloud = rng.uniform(-3, 3, (10, 3))
         fa, fb = dio.Frame(cloud, pose_a, 0), dio.Frame(cloud, pose_b, 1)
         expect = g.apply_transform(g.apply_transform(cloud, pose_a), pose_b.inverse())
-        np.testing.assert_allclose(dio.relative_gt(fa, fb).apply(cloud), expect, atol=1e-12)
+        np.testing.assert_allclose(g.apply_transform(cloud, dio.relative_gt(fa, fb)), expect,
+                                   atol=1e-12)
 
     def test_pipeline_uses_the_same_definition(self):
         from distreg import pipeline

@@ -39,10 +39,10 @@ class TestRigidTransform:
         a = g.random_transform(rng, 3.0)
         b = g.random_transform(rng, 3.0)
         pts = rng.uniform(-5, 5, (40, 3))
-        via_compose = a.compose(b).apply(pts)
-        sequential = a.apply(b.apply(pts))
+        via_compose = g.apply_transform(pts, a.compose(b))
+        sequential = g.apply_transform(g.apply_transform(pts, b), a)
         np.testing.assert_allclose(via_compose, sequential, atol=1e-9)
-        round_trip = a.inverse().apply(a.apply(pts))
+        round_trip = g.apply_transform(g.apply_transform(pts, a), a.inverse())
         np.testing.assert_allclose(round_trip, pts, atol=1e-9)
 
 

@@ -179,11 +179,12 @@ class TestPooledBlock:
         enc, dec = tiny_params(randomize=8, cfg=SYMMETRIC)
         cloud = rng.uniform(-3, 3, (n, 3))
         fm = rng.normal(size=(n, TINY.l))
+        idx = mdl.encoder_forward_cached(cloud, enc)[1].pool.idx
 
         def forward():
             if which == "encoder":
                 return mdl.encoder_forward_cached(cloud, enc)
-            return mdl.decoder_forward_cached(fm, dec, cloud=cloud)
+            return mdl.decoder_forward_cached(fm, dec, idx)
 
         def flat(out, cache):
             pool = cache.pool
@@ -203,36 +204,38 @@ class TestDecoderForward:
         for t in dec.layers:
             t[...] = 0.0
         fm = rng.normal(size=(20, TINY.l))
-        np.testing.assert_array_equal(mdl.decoder_forward(fm, dec), np.zeros((20, 2, 3)))
+        np.testing.assert_array_equal(mdl.decoder_forward_cached(fm, dec)[0], np.zeros((20, 2, 3)))
 
     def test_single_linear_layer_passthrough(self):
         dec = mdl.DecoderParams("asymmetric", (np.eye(3, 8), np.zeros(3)))
         fm = np.arange(16.0).reshape(2, 8)
-        out = mdl.decoder_forward(fm, dec)
+        out, _ = mdl.decoder_forward_cached(fm, dec)
         np.testing.assert_array_equal(out.reshape(2, 3), fm[:, :3])
 
     def test_permutation_equivariance(self, rng):
         _, dec = tiny_params(randomize=6)
         fm = rng.normal(size=(30, TINY.l))
         perm = rng.permutation(30)
-        out = mdl.decoder_forward(fm, dec)
-        out_perm = mdl.decoder_forward(fm[perm], dec)
+        out, _ = mdl.decoder_forward_cached(fm, dec)
+        out_perm, _ = mdl.decoder_forward_cached(fm[perm], dec)
         np.testing.assert_array_equal(out_perm, out[perm])
 
     def test_shape_mismatch(self, rng):
         _, dec = tiny_params()
         with pytest.raises(ShapeMismatch):
-            mdl.decoder_forward(rng.normal(size=(5, TINY.l + 1)), dec)
+            mdl.decoder_forward_cached(rng.normal(size=(5, TINY.l + 1)), dec)
 
-    def test_symmetric_requires_cloud(self, rng):
+    def test_symmetric_requires_neighbor_indices(self, rng):
         cfg = mdl.ModelConfig(k=4, l=8, encoder_hidden=(8, 16), encoder_post_hidden=16,
                               phi=2, decoder_variant="symmetric")
         enc, dec = mdl.init_params(0, cfg)
         cloud = rng.uniform(-1, 1, (12, 3))
-        fm = mdl.encoder_forward(cloud, enc)
+        fm, cache = mdl.encoder_forward_cached(cloud, enc)
         with pytest.raises(ShapeMismatch):
-            mdl.decoder_forward(fm, dec)
-        out = mdl.decoder_forward(fm, dec, cloud=cloud)
+            mdl.decoder_forward_cached(fm, dec)
+        with pytest.raises(ShapeMismatch):
+            mdl.decoder_forward_cached(fm, dec, cache.pool.idx[:-1])
+        out, _ = mdl.decoder_forward_cached(fm, dec, cache.pool.idx)
         assert out.shape == (12, 2, 3)
 
 
@@ -310,12 +313,12 @@ class TestBackward:
         wo = rng.normal(size=(32, 2, 3))
 
         def loss(e, d):
-            f = mdl.encoder_forward(cloud, e)
-            o = mdl.decoder_forward(f, d, cloud=cloud)
+            f, ec = mdl.encoder_forward_cached(cloud, e)
+            o, _ = mdl.decoder_forward_cached(f, d, ec.pool.idx)
             return float(np.sum(wf * f) + np.sum(wo * o))
 
         f, ec = mdl.encoder_forward_cached(cloud, enc)
-        o, dc = mdl.decoder_forward_cached(f, dec, cloud=cloud)
+        o, dc = mdl.decoder_forward_cached(f, dec, ec.pool.idx)
         grads = mdl.backward(enc, ec, wf, dec, dc, wo)
 
         h = 1e-6
@@ -338,6 +341,7 @@ class TestCheckpoint:
         enc, dec = tiny_params(seed=9, randomize=9)
         p = tmp_path / "model.ckpt"
         mdl.save_checkpoint(p, enc, dec)
+        assert struct.unpack_from("<I", p.read_bytes(), 24) == (0,)  # asymmetric decoder k
         enc2, dec2 = mdl.load_checkpoint(p)
         assert (enc2.k, enc2.l, enc2.normalize) == (enc.k, enc.l, enc.normalize)
         assert (dec2.variant, dec2.phi) == (dec.variant, dec.phi)
@@ -352,8 +356,10 @@ class TestCheckpoint:
         enc, dec = mdl.init_params(2, cfg)
         p = tmp_path / "model.ckpt"
         mdl.save_checkpoint(p, enc, dec)
-        _, dec2 = mdl.load_checkpoint(p)
-        assert dec2.variant == "symmetric" and dec2.k == 4
+        # the header's decoder k (offset 24) is the encoder's k
+        assert struct.unpack_from("<I", p.read_bytes(), 24) == (4,)
+        enc2, dec2 = mdl.load_checkpoint(p)
+        assert dec2.variant == "symmetric" and enc2.k == 4
 
     def test_deterministic_bytes(self, tmp_path):
         enc, dec = tiny_params(seed=4)
@@ -393,23 +399,26 @@ class TestCheckpoint:
                                                 e.layers[7])), d)),
         (TINY, lambda e, d: (e, replace(d, layers=d.layers[:-1]))),
         (TINY, lambda e, d: (e, replace(d, layers=d.layers[:2] + d.layers[4:]))),
-        (SYMMETRIC, lambda e, d: (e, replace(d, k=None))),
         (SYMMETRIC, lambda e, d: (e, replace(d, layers=d.layers + d.layers[-2:]))),
     ], ids=["w1-width", "k-zero", "nan-w4", "decoder-missing-last", "decoder-chain-gap",
-            "symmetric-k-zero", "symmetric-extra-layer"])
+            "symmetric-extra-layer"])
     def test_inconsistent_params_rejected(self, tmp_path, cfg, mangle):
         p = tmp_path / "model.ckpt"
         mdl.save_checkpoint(p, *mangle(*mdl.init_params(0, cfg)))
         with pytest.raises(MalformedFile):
             mdl.load_checkpoint(p)
 
-    # header fields: k 8, l 12, phi 16, variant 20, normalize 21, reserved 22
-    @pytest.mark.parametrize("offset,fmt,value", [
-        (12, "<I", 99), (16, "<I", 3), (20, "<B", 2), (21, "<B", 2), (22, "<H", 1),
-    ], ids=["l", "phi", "variant", "normalize", "reserved"])
-    def test_bad_header_field_rejected(self, tmp_path, offset, fmt, value):
+    # header fields: k 8, l 12, phi 16, variant 20, normalize 21, reserved 22,
+    # decoder k 24 (the encoder's k, 4 here, for a symmetric decoder, else 0)
+    @pytest.mark.parametrize("cfg,offset,fmt,value", [
+        (TINY, 12, "<I", 99), (TINY, 16, "<I", 3), (TINY, 20, "<B", 2), (TINY, 21, "<B", 2),
+        (TINY, 22, "<H", 1),
+        (SYMMETRIC, 24, "<I", 0), (SYMMETRIC, 24, "<I", 5), (TINY, 24, "<I", 4),
+    ], ids=["l", "phi", "variant", "normalize", "reserved",
+            "symmetric-k-zero", "symmetric-k-differs", "asymmetric-k-nonzero"])
+    def test_bad_header_field_rejected(self, tmp_path, cfg, offset, fmt, value):
         p = tmp_path / "model.ckpt"
-        mdl.save_checkpoint(p, *mdl.init_params(0, TINY))
+        mdl.save_checkpoint(p, *mdl.init_params(0, cfg))
         raw = bytearray(p.read_bytes())
         struct.pack_into(fmt, raw, offset, value)
         p.write_bytes(raw)

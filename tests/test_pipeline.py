@@ -10,8 +10,8 @@ from distreg import pipeline as pl
 from distreg import simulate as sim
 from distreg.aggregate import ApgConfig, generate_apc
 from distreg.dataio import PairSpec, distill_records
-from distreg.errors import NoPairs, NonFinite, NonFiniteLoss
-from distreg.geometry import apply_transform, random_transform
+from distreg.errors import NoPairs, NonFinite, NonFiniteLoss, UnknownFrame
+from distreg.geometry import NeighborIndex, apply_transform, random_transform
 from distreg.losses import LossConfig, chamfer, hardest_contrastive, l2_offset_reg, total_loss
 from distreg.register import NORMAL, RansacConfig, registration_recall
 
@@ -168,7 +168,9 @@ class TestTrain:
 def serial_pair_loss_and_grads(cloud_a, cloud_b, apc_a, apc_b, gt_pairs, enc, dec, cfg, rng):
     """``pl.pair_loss_and_grads`` as one thread ran it: both clouds encoded,
     the contrastive loss, then each cloud's decoder terms and backward in
-    turn, summed A then B."""
+    turn, summed A then B. A symmetric decoder gets neighborhoods indexed
+    afresh from the cloud, so the byte comparison also checks that the
+    encoder's neighborhoods, which the step reuses, are the cloud's."""
     fa, cache_a = mdl.encoder_forward_cached(cloud_a, enc)
     fb, cache_b = mdl.encoder_forward_cached(cloud_b, enc)
     l_ml, d_fa, d_fb = hardest_contrastive(fa, fb, gt_pairs, cfg, rng=rng)
@@ -180,7 +182,10 @@ def serial_pair_loss_and_grads(cloud_a, cloud_b, apc_a, apc_b, gt_pairs, enc, de
                                           (cloud_b, fb, apc_b, cache_b, d_fb)):
         dec_cache = d_off = None
         if run_decoder:
-            offsets, dec_cache = mdl.decoder_forward_cached(feats, dec, cloud=cloud)
+            idx = None
+            if dec.variant == "symmetric":
+                _, idx = NeighborIndex(cloud).knearest(cloud, enc.k)
+            offsets, dec_cache = mdl.decoder_forward_cached(feats, dec, idx)
             cd, d_recon = chamfer(mdl.fuse(cloud, offsets), apc)
             reg, d_reg = l2_offset_reg(offsets)
             l_cd += cd
@@ -226,6 +231,23 @@ class TestTwoThreadStep:
         assert list(grads) == list(ref_grads)
         assert all(grads[n].tobytes() == ref_grads[n].tobytes() for n in grads)
         assert (report.l_cd > 0) == (lambdas[0] > 0)
+
+    @pytest.mark.parametrize("variant", ["asymmetric", "symmetric"])
+    def test_kd_trees_built_per_step(self, step_inputs, monkeypatch, variant):
+        # one per cloud for the encoder and two per cloud for chamfer; the
+        # symmetric decoder pools over the encoder's neighborhoods and builds none
+        enc, dec = generic_params(variant)
+        builds = []
+        init = NeighborIndex.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(NeighborIndex, "__init__", counting_init)
+        pl.pair_loss_and_grads(*step_inputs, enc, dec, LossConfig(),
+                               rng=np.random.default_rng(0))
+        assert len(builds) == 6
 
     def test_threads_joined_after_a_step(self, step_inputs):
         enc, dec = generic_params("asymmetric")
@@ -457,6 +479,20 @@ def trained(toy_setup):
 
 class TestEvaluationPaths:
 
+    @pytest.mark.parametrize("call", ["train", "evaluate_pairs", "eval_density", "generate_apc"])
+    def test_missing_frame_raises_unknown_frame(self, toy_setup, trained, call):
+        seq_a, seq_b, pairs = toy_setup
+        ransac = RansacConfig(iterations=10)
+        bad = [pairs[0], (pairs[1][0], 99)]
+        run = {
+            "train": lambda: pl.train(seq_a, seq_b, bad, toy_config()),
+            "evaluate_pairs": lambda: pl.evaluate_pairs(seq_a, seq_b, bad, trained, ransac),
+            "eval_density": lambda: pl.eval_density(trained, seq_a, seq_b, bad, [1.0], ransac),
+            "generate_apc": lambda: generate_apc(seq_b, 99, toy_config().apg),
+        }[call]
+        with pytest.raises(UnknownFrame, match="^no frame with index 99$"):
+            run()
+
     def test_register_pair_self(self, toy_setup, trained):
         seq_a, _, _ = toy_setup
         cloud = seq_a[5].cloud
@@ -480,7 +516,6 @@ class TestEvaluationPaths:
         def boom(*a, **k):
             raise AssertionError("decoder/aggregation reached from the evaluation path")
 
-        monkeypatch.setattr(mdl, "decoder_forward", boom)
         monkeypatch.setattr(mdl, "decoder_forward_cached", boom)
         monkeypatch.setattr(pl, "generate_apc", boom)
         results = pl.evaluate_pairs(seq_a, seq_b, pairs[:2], trained,
