@@ -111,7 +111,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--input-voxel-size", type=float, default=0.0)
     p.add_argument("--k", type=int, default=16)
     p.add_argument("--feature-dim", type=int, default=32)
-    p.add_argument("--decoder-hidden", default="512,256")
+    p.add_argument("--decoder-hidden", default="512,256",
+                   help="hidden widths of the asymmetric decoder; the symmetric "
+                        "decoder mirrors the encoder's widths and ignores this")
     p.add_argument("--decoder-variant", choices=["asymmetric", "symmetric"], default="asymmetric")
     p.add_argument("--n-disturb", type=int, default=0)
     p.add_argument("--curriculum", action="store_true")

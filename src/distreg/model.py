@@ -42,7 +42,9 @@ _ENCODER_TENSORS = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Dimension bundle consumed by ``init_params``."""
+    """Dimension bundle consumed by ``init_params``. ``decoder_hidden`` sets
+    the asymmetric decoder's hidden widths only: the symmetric decoder
+    mirrors the encoder's widths and never reads it."""
 
     k: int = 16
     l: int = 32

@@ -86,6 +86,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_int("epochs", self.epochs, 1)
+        check_int("seed", self.seed, 0)
         check_int("n_disturb", self.n_disturb, 0)
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
@@ -93,6 +94,8 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if not 0 <= self.input_voxel_size < np.inf:
             raise ValueError("input_voxel_size must be >= 0 and finite")
+        if not 0 < self.gt_corr_radius < np.inf:
+            raise ValueError("gt_corr_radius must be positive and finite")
 
 
 @dataclass(frozen=True)

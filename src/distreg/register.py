@@ -59,6 +59,7 @@ class RansacConfig:
 
     def __post_init__(self):
         check_int("iterations", self.iterations, 1)
+        check_int("seed", self.seed, 0)
         if not (math.isfinite(self.inlier_threshold) and self.inlier_threshold > 0):
             raise ValueError("inlier_threshold must be positive and finite")
 

@@ -84,6 +84,7 @@ def simulate_world(seed: int, extent: float, n_obstacles: int) -> WorldModel:
     """
     if not 0 < extent < np.inf:
         raise ValueError("extent must be positive and finite")
+    check_int("seed", seed, 0)
     check_int("n_obstacles", n_obstacles, 0)
     rng = np.random.default_rng(seed)
     half = extent / 2.0

@@ -1,3 +1,4 @@
+import inspect
 import re
 import shutil
 from dataclasses import replace
@@ -6,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from distreg import cli, dataio, model as mdl, pipeline, register as reg
+from distreg import cli, dataio, model as mdl, pipeline, register as reg, simulate
+from distreg.aggregate import ApgConfig
 from distreg.errors import DistregError, MalformedFile
+from distreg.losses import LossConfig
 
 
 def run(args):
@@ -92,6 +95,76 @@ class TestUsage:
         argv = ["distill", "--dataset", "ds", "--config", str(cfg), "--out", "p.csv"]
         args = cli._merge_config(parser, commands["distill"], argv, parser.parse_args(argv))
         assert args.require_nonempty is expected
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"],
+        ["train", "--dataset", "nope", "--pairs", "nope.csv"],
+        ["evaluate", "--oracle-gt", "--dataset", "nope", "--pairs", "nope.csv"],
+    ], ids=lambda command: command[0])
+    def test_negative_seed_usage_error(self, tmp_path, capsys, command):
+        # rejected before any input is read: none of the named inputs exists
+        out = tmp_path / "out"
+        assert run([*command, "--seed", -1, "--out", out]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be an integer >= 0"]
+        assert not out.exists()
+
+
+def _signature_default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+_TRAIN, _MODEL, _APG, _LOSS = pipeline.TrainConfig(), mdl.ModelConfig(), ApgConfig(), LossConfig()
+_CURRICULUM, _RANSAC, _LIDAR = pipeline.CurriculumSpec(), reg.RansacConfig(), simulate.LidarConfig()
+
+
+# (command, flag dest, the library's default for the setting that flag sets)
+_CLI_DEFAULTS = [
+    ("simulate", "seed", _signature_default(simulate.simulate_sequence, "seed")),
+    ("simulate", "height", _signature_default(simulate.line_trajectory, "height")),
+    ("simulate", "azimuth_steps", _LIDAR.azimuth_steps),
+    ("simulate", "rings", len(_LIDAR.elevation_angles)),
+    ("simulate", "ring_lo", _LIDAR.elevation_angles[0]),
+    ("simulate", "ring_hi", _LIDAR.elevation_angles[-1]),
+    ("simulate", "max_range", _LIDAR.max_range),
+    ("simulate", "noise_sigma", _LIDAR.range_noise_sigma),
+    ("distill", "max_overlap", dataio.PairSpec(0.0, 1.0).overlap_max),
+    ("distill", "tau", _signature_default(dataio.distill_records, "tau")),
+    ("train", "epochs", _TRAIN.epochs),
+    ("train", "lr", _TRAIN.learning_rate),
+    ("train", "momentum", _TRAIN.momentum),
+    ("train", "seed", _TRAIN.seed),
+    ("train", "input_voxel_size", _TRAIN.input_voxel_size),
+    ("train", "n_disturb", _TRAIN.n_disturb),
+    ("train", "lambda1", _LOSS.lambda1),
+    ("train", "lambda2", _LOSS.lambda2),
+    ("train", "m_pos", _LOSS.m_p),
+    ("train", "m_neg", _LOSS.m_n),
+    ("train", "phi", _MODEL.phi),
+    ("train", "k", _MODEL.k),
+    ("train", "feature_dim", _MODEL.l),
+    ("train", "decoder_hidden", ",".join(map(str, _MODEL.decoder_hidden))),
+    ("train", "decoder_variant", _MODEL.decoder_variant),
+    ("train", "psi", _APG.psi),
+    ("train", "alpha", _APG.alpha),
+    ("train", "scope_radius", _APG.scope_radius),
+    ("train", "voxel_size", _APG.voxel_size),
+    ("train", "curriculum_d2", _CURRICULUM.d2),
+    ("train", "max_overlap", _CURRICULUM.overlap_max),
+    ("train", "tau", _CURRICULUM.tau),
+    ("evaluate", "ransac_iterations", _RANSAC.iterations),
+    ("evaluate", "inlier_threshold", _RANSAC.inlier_threshold),
+    ("evaluate", "seed", _RANSAC.seed),
+    ("evaluate", "input_voxel_size", _signature_default(pipeline.evaluate_pairs,
+                                                        "input_voxel_size")),
+]
+
+
+@pytest.mark.parametrize("command,dest,library", _CLI_DEFAULTS,
+                         ids=[f"{command}-{dest}" for command, dest, _ in _CLI_DEFAULTS])
+def test_cli_default_matches_library(command, dest, library):
+    """The CLI states each default a second time; it must be the library's."""
+    _, commands = cli.build_parser()
+    assert commands[command].get_default(dest) == library
 
 
 class TestExitCodes:

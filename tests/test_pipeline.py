@@ -343,6 +343,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="learning_rate"):
             toy_config(learning_rate=lr)
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_gt_corr_radius(self, radius):
+        # NaN, 0 and -1 admit no positive pair (NoPositives at step 0), and
+        # inf makes every mutual-nearest pair a positive at any distance
+        with pytest.raises(ValueError, match="^gt_corr_radius must be positive and finite$"):
+            toy_config(gt_corr_radius=radius)
+
     @pytest.mark.parametrize("d2", [float("nan"), float("inf"), -1.0])
     def test_curriculum_rejects_bad_d2(self, d2):
         # NaN compares below 30 m, which would turn finetuning off silently
