@@ -1,8 +1,11 @@
 """Train the feature encoder on a tiny scene, then register a pair online.
 
-The full study lives in the test suite; this is a quick (~1 minute)
-narrative version: train briefly with the aggregated-reconstruction loss,
-watch the loss fall, and run the online path (encode, match, RANSAC).
+The full study lives in the test suite; this is a quick narrative version
+(about 2 s on a laptop CPU): train briefly with the aggregated-reconstruction
+loss, watch the loss fall, and run the online path (encode, match, RANSAC).
+The briefly trained model does not register these pairs yet: its estimates
+stay near the identity, and its one loose "pass" is that identity estimate
+inside the loose criterion's 2 m bound.
 """
 
 import numpy as np
@@ -47,10 +50,12 @@ for epoch in range(cfg.epochs):
           f"reconstruction {np.mean([s.l_cd for s in chunk]):.3f})")
 
 # Online path: only the two key frames and the encoder are involved.
-# This one-minute model registers nearby frames under the loose criterion;
-# watch the translation error grow with distance as the scans' ring
-# patterns diverge. The calibrated study (tests/test_acceptance.py) trains
-# 20 epochs on a richer scene to quantify the same effect properly.
+# RANSAC's consensus here is the near-identity one on the unfiltered
+# ground (ROADMAP item 1): each translation error is about the frames'
+# separation, and the loose "pass" at 1.5 m is the identity estimate
+# falling inside the loose criterion's 2 m bound, not a registration. The
+# calibrated study (tests/test_acceptance.py) trains 20 epochs on a richer
+# scene.
 print("\nonline registration at increasing frame separation:")
 for j in (5, 6, 7):
     fa, fb = seq_a[4], seq_a[j]
@@ -64,3 +69,5 @@ for j in (5, 6, 7):
     d = np.linalg.norm(fa.pose.translation - fb.pose.translation)
     print(f"  frames {fa.index}->{fb.index} ({d:.1f} m apart): "
           f"rre {result.rre:.2f} deg, rte {result.rte:.2f} m | {verdicts}")
+print("the estimates stay near the identity (rte is about the separation), so a "
+      "loose pass here is the identity inside the 2 m bound")

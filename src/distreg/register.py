@@ -198,21 +198,29 @@ def _squared_threshold(thr: float) -> float:
     return x
 
 
-# ransac_register scores each task in row blocks whose three (rows, n)
-# float64 _squared_residuals buffers take about this much, so they stay in L2
-_SCORE_BLOCK_BYTES = 1 << 20
+# ransac_register scores each task in row blocks whose (rows, n) float64
+# product takes at most this much. OpenBLAS 0.3.31 threads a product from
+# M·N·K ≈ 2^20 on, which 512 KB blocks reach (K = 16), and at two BLAS
+# threads the pool's workers then contend for its threads. RANSAC over the
+# 8 register-bins pairs (2 vCPUs, median of 7 runs) took 0.55 / 0.40 /
+# 0.40 s at one BLAS thread and 0.61 / 0.45 / 0.68 s at two, for 128 /
+# 256 / 512 KB blocks.
+_SCORE_BLOCK_BYTES = 1 << 18
 
-# hypotheses per ransac_register task: the scoring ufuncs release the GIL but
-# the fit's small-array ops hold it, so smaller tasks gain less from the pool
-# (512 gained little on 2 CPUs; 2048 to 4096 timed alike, and the smallest
-# keeps each task's fit arrays smallest)
-_TASK_HYPOTHESES = 2048
+# hypotheses per ransac_register task. The product, the compares and the
+# counts release the GIL, but each call is short, and the fit's and the
+# margin's many (B,)-array calls hold it; a task pays those calls once, so
+# larger tasks spend less time waiting for the GIL. 4096 took 0.40 s
+# against 2048's 0.54 s at one BLAS thread, and 0.45 against 0.53 s at two
+# (same runs).
+_TASK_HYPOTHESES = 4096
 
 
 def _squared_residuals(R: np.ndarray, t: np.ndarray, src_t: np.ndarray,
                        dst_t: np.ndarray) -> np.ndarray:
     """(B, n) squared distances |R_b s + t_b - d|^2 from (3, n) coordinate
-    rows, one axis at a time. They are rounded bit for bit as
+    rows, one axis at a time: the exact scorer, whose ``d2 < thr2`` decides
+    every inlier. They are rounded bit for bit as
     ``np.linalg.norm(np.einsum("bij,nj->bni", R, src) + t[:, None] - dst, axis=2)``
     rounds them before its sqrt: numpy 2's einsum on x86-64 contracts the
     length-3 axis in two SIMD lanes, giving (p0 + p2) + p1, and the norm sums
@@ -234,6 +242,109 @@ def _squared_residuals(R: np.ndarray, t: np.ndarray, src_t: np.ndarray,
     return d2
 
 
+@dataclass(frozen=True)
+class _Correspondences:
+    """The per-correspondence side of the product scorer, built once per
+    ransac_register call from the (3, n) coordinate rows ``src_t`` and
+    ``dst_t``: F = (1, -2d, 2s, -2 vec(d sᵀ)) as a (16, n) matrix, c = |s|² +
+    |d|², and the norms |s| and |d|."""
+
+    src_t: np.ndarray
+    dst_t: np.ndarray
+    features: np.ndarray
+    c: np.ndarray
+    s_norm: np.ndarray
+    d_norm: np.ndarray
+
+    @classmethod
+    def of(cls, src_t: np.ndarray, dst_t: np.ndarray) -> "_Correspondences":
+        n = src_t.shape[1]
+        features = np.empty((16, n))
+        features[0] = 1.0
+        np.multiply(dst_t, -2.0, out=features[1:4])
+        np.multiply(src_t, 2.0, out=features[4:7])
+        np.multiply(dst_t[:, None], src_t[None], out=features[7:].reshape(3, 3, n))
+        features[7:] *= -2.0
+        s2, d2 = _dot(src_t, src_t), _dot(dst_t, dst_t)
+        return cls(src_t, dst_t, features, s2 + d2, np.sqrt(s2), np.sqrt(d2))
+
+
+def _band_margin(R: np.ndarray, t: np.ndarray, corr: _Correspondences, thr2: float) -> np.ndarray:
+    """A bound m_n, for every correspondence n, on |d2 - (G + c)| plus the
+    rounding of ``thr2 - c ∓ m``, for all B hypotheses (R, t) at once: d2 is
+    ``_squared_residuals``' value and G the product A F in any summation
+    order, with A = (|t|², t, Rᵀt, vec(R)) and F, c those of ``corr``.
+
+    In exact arithmetic |R s + t - d|² = G + c + sᵀ(RᵀR - I)s. Let u =
+    2^-53, a = |s|, b = |d|, τ the largest |t| of the B hypotheses and δ a
+    bound on ‖RᵀR - I‖₂ over them; ρ = sqrt(1 + δ) bounds ‖R‖₂, so the
+    entrywise |R| has ‖|R|‖₂ ≤ √3 ρ. With W = (√3 ρ a + τ + b)², every term
+    below is at most a multiple of W:
+    - the 16-term product: γ16 Σ|A_k F_k| ≤ γ16 (1 + γ3) W, whatever the
+      summation order, FMA or blocking (Higham 2002, eq. 3.5);
+    - the rounding of A and F (|t|², Rᵀt and d sᵀ): γ3 W;
+    - the rounding of c: γ4 (a² + b²) ≤ γ4 W;
+    - R's orthonormality defect: |sᵀ(RᵀR - I)s| ≤ δ a² ≤ δ W;
+    - the exact scorer, each axis a 5-term sum then squared, and the three
+      squares summed: (γ5 (2 + γ5) + γ3 (1 + γ5)²) W ≈ 13u W;
+    - ``thr2 - c ∓ m``: 2.01u (thr2 + W) + u m.
+    That is at most (38.2u + δ)(W + thr2) + u m, and m = (64u + 2δ)(W + thr2)
+    covers it with room for the rounding of W, a, b, τ and δ themselves.
+    δ is 3 max|fl(RᵀR - I)| (Frobenius over the largest entry) plus the
+    γ3 ρ² error of each computed entry, 16u (1 + 3 max). 2^-1000 is added
+    for subnormal products. Where W ≥ 1e300 a product might overflow, and
+    a non-finite R or t gives a NaN bound: m is NaN there, so every
+    comparison with it fails and the entry is scored exactly."""
+    u = 2.0 ** -53  # float64's unit roundoff
+    cols = R.transpose(2, 1, 0)  # cols[j] is column j of every R, as (3, B)
+    defect = np.max([np.abs(_dot(cols[j], cols[k]) - (j == k)).max()
+                     for j in range(3) for k in range(j, 3)])  # NaN propagates
+    delta = 3 * defect + 16 * u * (1 + 3 * defect)
+    tau = np.linalg.norm(t, axis=1).max()
+    w = (np.sqrt(3 * (1 + delta)) * corr.s_norm + tau + corr.d_norm) ** 2
+    margin = (64 * u + 2 * delta) * (w + thr2) + 2.0 ** -1000
+    return np.where(w < 1e300, margin, np.nan)
+
+
+def _inlier_counts(R: np.ndarray, t: np.ndarray, corr: _Correspondences,
+                   thr2: float) -> np.ndarray:
+    """Each of the B hypotheses' count of ``_squared_residuals < thr2``.
+
+    Row block by row block, G = A F is one matrix product (see
+    ``_band_margin``), and ``G < thr2 - c - m`` is a sure inlier and
+    ``G >= thr2 - c + m`` a sure outlier. A row with any entry in neither,
+    NaN included, is rescored with ``_squared_residuals``, so every count
+    is the exact scorer's whatever the BLAS and its thread count."""
+    b, n = R.shape[0], corr.c.shape[0]
+    A = np.empty((b, 16))
+    A[:, 0] = _dot(t.T, t.T)
+    A[:, 1:4] = t
+    A[:, 4:7] = np.einsum("bij,bi->bj", R, t)
+    A[:, 7:] = R.reshape(b, 9)
+    rows = max(1, _SCORE_BLOCK_BYTES // (8 * n))
+    g = np.empty((min(rows, b), n))
+    mask = np.empty(g.shape, dtype=bool)
+    counts = np.empty(b, dtype=np.intp)
+    # a non-finite hypothesis makes NaNs, which the exact scorer settles
+    with np.errstate(invalid="ignore", over="ignore"):
+        margin = _band_margin(R, t, corr, thr2)
+        lo = (thr2 - corr.c) - margin
+        hi = (thr2 - corr.c) + margin
+        for r in range(0, b, rows):
+            k = min(rows, b - r)
+            gk, mk = g[:k], mask[:k]
+            np.matmul(A[r : r + k], corr.features, out=gk)
+            inside = np.add.reduce(np.less(gk, lo, out=mk).view(np.uint8), axis=1,
+                                   dtype=np.int32)
+            counts[r : r + k] = inside
+            if np.count_nonzero(np.greater_equal(gk, hi, out=mk)) + inside.sum() != k * n:
+                outside = np.count_nonzero(mk, axis=1)
+                unsure = r + np.flatnonzero(inside + outside != n)
+                d2 = _squared_residuals(R[unsure], t[unsure], corr.src_t, corr.dst_t)
+                counts[unsure] = np.count_nonzero(d2 < thr2, axis=1)
+    return counts
+
+
 def ransac_register(pairs, cloud_a, cloud_b, cfg: RansacConfig) -> RansacEstimate:
     """Best-of-iterations 3-point hypotheses scored by inlier count, then a
     least-squares refit on the best inlier set. ``pairs`` is a (K, 2) int64
@@ -247,7 +358,13 @@ def ransac_register(pairs, cloud_a, cloud_b, cfg: RansacConfig) -> RansacEstimat
     first best hypothesis. The tasks' bests are reduced in task order and a
     later one wins only with strictly more inliers, so ties between
     hypotheses go to the earliest one and the estimate does not depend on
-    the thread count."""
+    the thread count.
+
+    Inliers are counted by ``_inlier_counts``: one matrix product per row
+    block decides every entry farther than a rigorous rounding bound from
+    the threshold, and a row with an entry inside that band is rescored
+    with the exact scorer ``_squared_residuals``. Every count, and so the
+    estimate, is the exact scorer's whatever the BLAS rounds."""
     a = as_points(cloud_a)
     b = as_points(cloud_b)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -264,9 +381,8 @@ def ransac_register(pairs, cloud_a, cloud_b, cfg: RansacConfig) -> RansacEstimat
     rng = np.random.default_rng(cfg.seed)
     samples = rng.integers(0, n, size=(cfg.iterations, 3))
 
-    src_t, dst_t = src.T.copy(), dst.T.copy()
+    corr = _Correspondences.of(src.T.copy(), dst.T.copy())
     thr2 = _squared_threshold(cfg.inlier_threshold)
-    rows = max(1, _SCORE_BLOCK_BYTES // (3 * 8 * n))
     workers = len(os.sched_getaffinity(0))
     task = min(_TASK_HYPOTHESES, -(-cfg.iterations // workers))
 
@@ -275,10 +391,7 @@ def ransac_register(pairs, cloud_a, cloud_b, cfg: RansacConfig) -> RansacEstimat
         # repeated indices within a sample make it degenerate; the batched
         # fit flags them along with coincident and collinear triples
         R, t, degenerate = _batched_kabsch(src[block], dst[block])
-        counts = np.empty(len(block), dtype=np.intp)
-        for r in range(0, len(block), rows):
-            d2 = _squared_residuals(R[r : r + rows], t[r : r + rows], src_t, dst_t)
-            counts[r : r + rows] = np.count_nonzero(d2 < thr2, axis=1)
+        counts = _inlier_counts(R, t, corr, thr2)
         counts[degenerate] = -1
         bi = int(np.argmax(counts))  # first maximum: earliest hypothesis wins ties
         return int(counts[bi]), R[bi].copy(), t[bi].copy()

@@ -172,8 +172,12 @@ def simulate_scan(world: WorldModel, sensor_pose: RigidTransform, cfg: LidarConf
     """Cast one ray per (azimuth, elevation); keep first hits within range.
 
     Points are returned in sensor-local coordinates with Gaussian range
-    noise clipped to ±6σ, so no return exceeds max_range + 6σ.
+    noise clipped to ±6σ, so no return exceeds max_range + 6σ. ``seed`` is
+    a non-negative integer or a list or tuple of them (``simulate_sequence``
+    passes ``[seed, frame]``).
     """
+    for s in seed if isinstance(seed, (list, tuple)) else (seed,):
+        check_int("seed", s, 0)
     origin = sensor_pose.translation
     if origin[2] <= 0:
         raise ValueError("sensor must be above the ground plane")
@@ -200,20 +204,15 @@ def simulate_scan(world: WorldModel, sensor_pose: RigidTransform, cfg: LidarConf
 
 def simulate_sequence(world: WorldModel, trajectory, cfg: LidarConfig, seed=0) -> FrameSequence:
     """One scan per pose; poses recorded as ground truth."""
+    check_int("seed", seed, 0)
     trajectory = list(trajectory)
     if not trajectory:
         raise ValueError("trajectory must be non-empty")
     frames = tuple(
-        Frame(simulate_scan(world, pose, cfg, seed=[_entropy(seed), i]), pose, i)
+        Frame(simulate_scan(world, pose, cfg, seed=[int(seed), i]), pose, i)
         for i, pose in enumerate(trajectory)
     )
     return FrameSequence(frames)
-
-
-def _entropy(seed) -> int:
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    raise TypeError("sequence seed must be an integer")
 
 
 def line_trajectory(

@@ -315,36 +315,10 @@ class TestRansacAgainstSvdFit:
         assert est.inlier_count == ref.inlier_count
 
 
-    def test_row_blocks_score_every_hypothesis(self, monkeypatch):
-        a, b = ransac_scene(6, 331)
-        cfg = reg.RansacConfig(iterations=1500, inlier_threshold=0.3, seed=6)
-        samples = np.random.default_rng(6).integers(0, 331, (1500, 3))
-        R, t, _ = reg._batched_kabsch(a[samples], b[samples])
-        score, blocks = reg._squared_residuals, []
-        expect = score(R, t, a.T.copy(), b.T.copy())
-        # pool threads score blocks in any order: place each block by the
-        # hypothesis its first row holds
-        first = {R[i].tobytes() + t[i].tobytes(): i for i in range(len(R))}
-        assert len(first) == len(R)
-        monkeypatch.setattr(reg, "_squared_residuals",
-                            lambda *args: blocks.append((args[0], args[1], score(*args)))
-                            or blocks[-1][2])
-        for cpus in (1, 2, 5):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            blocks.clear()
-            reg.ransac_register(identity_corr(331), a, b, cfg)
-            assert max(len(d2) for _, _, d2 in blocks) < 512
-            d2 = np.full(expect.shape, np.nan)
-            for Rb, tb, block in blocks:
-                i = first[Rb[0].tobytes() + tb[0].tobytes()]
-                assert np.isnan(d2[i : i + len(block)]).all()
-                d2[i : i + len(block)] = block
-            np.testing.assert_array_equal(d2, expect)
-
-
 def serial_ransac(pairs, a, b, cfg):
-    """ransac_register before the pool: one thread, chunks of
-    min(512, 4e6 / n) hypotheses, the best kept across chunks by strict >."""
+    """ransac_register before the pool and the product scorer: one thread,
+    chunks of min(512, 4e6 / n) hypotheses, every one scored by
+    _squared_residuals, the best kept across chunks by strict >."""
     src, dst = a[pairs[:, 0]], b[pairs[:, 1]]
     n = len(pairs)
     samples = np.random.default_rng(cfg.seed).integers(0, n, size=(cfg.iterations, 3))
@@ -436,6 +410,182 @@ class TestPooledRansac:
         a = np.ones((10, 3))
         with pytest.raises(TooFewCorrespondences, match="non-degenerate"):
             self.register(identity_corr(10), a, a, reg.RansacConfig(iterations=5000))
+
+
+def product_counts(R, t, src, dst, thr):
+    corr = reg._Correspondences.of(src.T.copy(), dst.T.copy())
+    return reg._inlier_counts(R, t, corr, reg._squared_threshold(thr))
+
+
+def boundary_scene(seed, n=120, offset=50.0):
+    """n correspondences about ``offset`` metres from the origin under a
+    random rigid motion: the first half exact, the rest at residual 0.3 and
+    one ulp of 0.3 either side of it."""
+    srng = np.random.default_rng(seed)
+    motion = random_transform(srng, 10.0)
+    a = offset + srng.uniform(-5, 5, (n, 3))
+    b = apply_transform(a, motion)
+    u = srng.normal(size=(n - n // 2, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    ulp = np.spacing(0.3)
+    radius = 0.3 + ulp * np.resize([-1.0, 0.0, 1.0], n - n // 2)
+    b[n // 2 :] += u * radius[:, None]
+    return a, b
+
+
+class TestProductScorer:
+    """_inlier_counts gives every hypothesis the count of
+    _squared_residuals < thr2, and ransac_register the estimate bytes of
+    serial_ransac, which scores every row with _squared_residuals."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """The (R, t, counts) of every _inlier_counts call, as returned."""
+        calls, count = [], reg._inlier_counts
+
+        def spy(R, t, *args):
+            counts = count(R, t, *args)
+            calls.append((R, t, counts.copy()))
+            return counts
+
+        monkeypatch.setattr(reg, "_inlier_counts", spy)
+        return calls
+
+    @staticmethod
+    def assert_counts_exact(calls, a, b, cfg):
+        """Each task's counts sit at the samples it scored, found by
+        comparing bytes with one fit of all samples; together they cover
+        every sample once and equal the exact scorer's counts."""
+        n = len(a)
+        samples = np.random.default_rng(cfg.seed).integers(0, n, (cfg.iterations, 3))
+        R, t, _ = reg._batched_kabsch(a[samples], b[samples])
+        counts = np.full(cfg.iterations, -2)
+        task = max(len(c) for _, _, c in calls)
+        for Rk, tk, ck in calls:
+            start = [s for s in range(0, cfg.iterations, task)
+                     if R[s : s + len(ck)].tobytes() == Rk.tobytes()
+                     and t[s : s + len(ck)].tobytes() == tk.tobytes()]
+            assert len(start) == 1
+            assert (counts[start[0] : start[0] + len(ck)] == -2).all()
+            counts[start[0] : start[0] + len(ck)] = ck
+        np.testing.assert_array_equal(
+            counts, fused_counts(R, t, a, b, cfg.inlier_threshold))
+
+    def test_every_hypothesis_count_equals_exact_scorer(self, monkeypatch, recorded):
+        a, b = ransac_scene(6, 331)
+        cfg = reg.RansacConfig(iterations=9000, inlier_threshold=0.3, seed=6)
+        for cpus in (1, 2, 5):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            recorded.clear()
+            reg.ransac_register(identity_corr(331), a, b, cfg)
+            self.assert_counts_exact(recorded, a, b, cfg)
+            assert len(recorded) >= 3  # several tasks, each of several row blocks
+
+    def test_one_product_per_task_counts_exact(self, monkeypatch, recorded):
+        # (4096, 16) @ (16, 331) products, which a multi-threaded BLAS splits
+        # across its threads
+        monkeypatch.setattr(reg, "_SCORE_BLOCK_BYTES", 1 << 40)
+        a, b = ransac_scene(6, 331)
+        cfg = reg.RansacConfig(iterations=9000, inlier_threshold=0.3, seed=6)
+        est = reg.ransac_register(identity_corr(331), a, b, cfg)
+        self.assert_counts_exact(recorded, a, b, cfg)
+        assert estimate_bytes(est) == estimate_bytes(serial_ransac(identity_corr(331), a, b, cfg))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_at_threshold_and_one_ulp_either_side(self, monkeypatch, seed):
+        a, b = boundary_scene(seed)
+        n = len(a)
+        samples = np.random.default_rng(seed).integers(0, n // 2, (300, 3))
+        R, t, degenerate = reg._batched_kabsch(a[samples], b[samples])
+        # the exact half fits each hypothesis to about 1e-13 m, so the
+        # boundary half sits within the band of every one of them
+        rescored, score = [], reg._squared_residuals
+        monkeypatch.setattr(reg, "_squared_residuals",
+                            lambda R, *args: rescored.append(len(R)) or score(R, *args))
+        counts = product_counts(R, t, a, b, 0.3)
+        exact = fused_counts(R, t, a, b, 0.3)
+        np.testing.assert_array_equal(counts, exact)
+        assert sum(rescored) > 0
+        live = ~degenerate
+        assert (exact[live] > n // 2).all() and (exact[live] < n).all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_boundary_scene_estimate_bytes_equal_serial(self, recorded, seed):
+        a, b = boundary_scene(seed)
+        cfg = reg.RansacConfig(iterations=3000, inlier_threshold=0.3, seed=seed)
+        pairs = identity_corr(len(a))
+        est = reg.ransac_register(pairs, a, b, cfg)
+        self.assert_counts_exact(recorded, a, b, cfg)
+        assert estimate_bytes(est) == estimate_bytes(serial_ransac(pairs, a, b, cfg))
+
+    def test_huge_margin_scores_every_row_exactly(self, monkeypatch, recorded):
+        a, b = ransac_scene(5, 150)
+        cfg = reg.RansacConfig(iterations=5000, inlier_threshold=0.3, seed=5)
+        rescored, score = [], reg._squared_residuals
+        monkeypatch.setattr(reg, "_band_margin",
+                            lambda R, t, corr, thr2: np.full(corr.c.shape, 1e300))
+        monkeypatch.setattr(reg, "_squared_residuals",
+                            lambda R, *args: rescored.append(len(R)) or score(R, *args))
+        est = reg.ransac_register(identity_corr(150), a, b, cfg)
+        assert sum(rescored) == cfg.iterations
+        self.assert_counts_exact(recorded, a, b, cfg)
+        assert estimate_bytes(est) == estimate_bytes(serial_ransac(identity_corr(150), a, b, cfg))
+
+    def test_non_finite_and_degenerate_hypotheses(self, monkeypatch, recorded):
+        # 12 correspondences: 5 inliers, 3 outliers and 4 copies of the first
+        # one, so many samples repeat an index or a point and fall back to
+        # R = I; the fit is poisoned by each sample's first point, so
+        # ransac_register's tasks and serial_ransac's chunks agree on it
+        srng = np.random.default_rng(2)
+        a = srng.uniform(-30, 30, (12, 3))
+        b = apply_transform(a, random_transform(srng, 10.0)) + srng.normal(0, 0.05, (12, 3))
+        b[5:8] = srng.uniform(-30, 30, (3, 3))
+        a[8:], b[8:] = a[0], b[0]
+        cfg = reg.RansacConfig(iterations=3000, inlier_threshold=0.3, seed=2)
+        fit = reg._batched_kabsch
+
+        def poisoned_fit(src, dst):
+            R, t, degenerate = fit(src, dst)
+            first = [(src[:, 0] == a[k]).all(axis=1) for k in (1, 2, 3, 4)]
+            R[first[0], 1, 2] = np.nan
+            t[first[1], 0] = np.inf
+            t[first[2], 2] = -np.inf
+            t[first[3]] = np.nan
+            return R, t, degenerate
+
+        samples = np.random.default_rng(2).integers(0, 12, (cfg.iterations, 3))
+        R, t, degenerate = poisoned_fit(a[samples], b[samples])
+        assert degenerate.mean() > 0.2
+        assert (R[degenerate] == np.eye(3)).all(axis=(1, 2)).sum() > 100
+        assert (~np.isfinite(R).all(axis=(1, 2)) & ~degenerate).sum() > 100
+        assert (~np.isfinite(t).all(axis=1) & ~degenerate).sum() > 300
+        exact = fused_counts(R, t, a, b, 0.3)
+        assert exact.max() >= 5
+        np.testing.assert_array_equal(product_counts(R, t, a, b, 0.3), exact)
+        recorded.clear()
+        monkeypatch.setattr(reg, "_batched_kabsch", poisoned_fit)
+        est = reg.ransac_register(identity_corr(12), a, b, cfg)
+        self.assert_counts_exact(recorded, a, b, cfg)
+        assert estimate_bytes(est) == estimate_bytes(serial_ransac(identity_corr(12), a, b, cfg))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([0.01, 1.0, 50.0, 1e4, 1e7, 1e100, 1e150]),
+           st.sampled_from([0.05, 0.3, 2.0]))
+    def test_random_scales_equal_exact_scorer(self, seed, scale, thr):
+        # residuals drawn around thr, a few of them within ulps of it; at
+        # 1e150 m the bound's W passes 1e300 and every entry is rescored
+        srng = np.random.default_rng(seed)
+        src = scale * srng.uniform(-1, 1, (40, 3))
+        R = np.stack([random_transform(srng).rotation for _ in range(16)])
+        t = scale * srng.uniform(-1, 1, (16, 3))
+        u = srng.normal(size=(40, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        radius = thr * np.where(srng.random(40) < 0.5, srng.uniform(0, 2, 40),
+                                1 + srng.integers(-3, 4, 40) * np.finfo(float).eps)
+        dst = src @ R[0].T + t[0] + u * radius[:, None]
+        np.testing.assert_array_equal(product_counts(R, t, src, dst, thr),
+                                      fused_counts(R, t, src, dst, thr))
 
 
 class TestRansacConfig:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,20 @@ class TestScan:
         b = sim.simulate_scan(world, flat_pose(), cfg, seed=11)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, [-1, 0], [0, -1], (3, -2), 2.5, [1, 2.5], True,
+                                      np.float64(3.0)], ids=repr)
+    def test_rejects_negative_or_non_integer_seed_by_name(self, seed):
+        cfg = sim.LidarConfig(azimuth_steps=32, elevation_angles=(0.0,))
+        with pytest.raises(ValueError, match=re.escape("seed must be an integer >= 0")):
+            sim.simulate_scan(sim.WorldModel(extent=10.0), flat_pose(), cfg, seed=seed)
+
+    def test_accepts_numpy_integer_seeds(self):
+        world = sim.simulate_world(5, 60.0, 8)
+        cfg = sim.LidarConfig(azimuth_steps=128, elevation_angles=(-10.0, -5.0, 0.0))
+        np.testing.assert_array_equal(
+            sim.simulate_scan(world, flat_pose(), cfg, seed=[np.int64(11), np.uint8(2)]),
+            sim.simulate_scan(world, flat_pose(), cfg, seed=[11, 2]))
+
     def test_sensor_below_ground_rejected(self):
         cfg = sim.LidarConfig(azimuth_steps=32, elevation_angles=(0.0,))
         with pytest.raises(ValueError):
@@ -177,6 +193,20 @@ class TestSequence:
         s1 = sim.simulate_sequence(world, traj, cfg, seed=4)
         s2 = sim.simulate_sequence(world, traj, cfg, seed=4)
         for f1, f2 in zip(s1, s2):
+            np.testing.assert_array_equal(f1.cloud, f2.cloud)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3"], ids=repr)
+    def test_rejects_negative_or_non_integer_seed_by_name(self, seed):
+        cfg = sim.LidarConfig(azimuth_steps=64, elevation_angles=(-5.0,))
+        with pytest.raises(ValueError, match=re.escape("seed must be an integer >= 0")):
+            sim.simulate_sequence(sim.simulate_world(0, 10.0, 0), [flat_pose()], cfg, seed=seed)
+
+    def test_numpy_integer_seed_gives_the_int_seed_frames(self):
+        world = sim.simulate_world(6, 50.0, 6)
+        cfg = sim.LidarConfig(azimuth_steps=128, elevation_angles=(-8.0, -3.0))
+        traj = sim.line_trajectory((-5, 0), 0.0, 1.0, 3)
+        for f1, f2 in zip(sim.simulate_sequence(world, traj, cfg, seed=np.int64(4)),
+                          sim.simulate_sequence(world, traj, cfg, seed=4)):
             np.testing.assert_array_equal(f1.cloud, f2.cloud)
 
     def test_poses_recorded_as_ground_truth(self):
