@@ -425,9 +425,9 @@ def cmd_evaluate(args) -> int:
     enc = None
     if not args.oracle_gt:
         enc, _ = mdl.load_checkpoint(_check_input(args.checkpoint, "checkpoint"))
-    out = _check_output_file(args.out, args.force)
+    out = Path(args.out)
 
-    if ratios is not None:
+    if ratios is not None:  # writes only the arm files, in out's directory
         arm_paths = {r: _check_output_file(out.with_name(f"{out.stem}.r{r:g}{out.suffix}"),
                                            args.force) for r in ratios}
         print("density protocol: ratio,rr,n_pairs")
@@ -440,6 +440,7 @@ def cmd_evaluate(args) -> int:
             print(f"{ratio:g},{rr:.4f},{len(records)}")
         return EXIT_OK
 
+    _check_output_file(out, args.force)
     if args.oracle_gt:
         records = _oracle_records(seq_a, seq_b, pairs)
     else:

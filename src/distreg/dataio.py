@@ -9,15 +9,13 @@ File formats:
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import MalformedFile, NonRigidPose, UnknownFrame
-from .geometry import NeighborIndex, Points, RigidTransform, as_points, overlap_ratio
+from .geometry import NeighborIndex, Points, RigidTransform, as_points, ordered_map, overlap_ratio
 
 _POSE_REPAIR_TOL = 1e-3
 
@@ -33,15 +31,15 @@ class Frame:
 
 @dataclass(frozen=True)
 class FrameSequence:
-    """Time series of frames with strictly increasing indices."""
+    """Time series of frames with strictly increasing non-negative indices."""
 
     frames: tuple[Frame, ...]
 
     def __post_init__(self):
         frames = tuple(self.frames)
         indices = [f.index for f in frames]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise ValueError("frame indices must be strictly increasing")
+        if any(b <= a for a, b in zip([-1] + indices, indices)):
+            raise ValueError(f"frame indices must be non-negative and strictly increasing: {indices}")
         object.__setattr__(self, "frames", frames)
 
     def __len__(self) -> int:
@@ -168,14 +166,8 @@ def distill_records(
     ``seq_a is seq_b`` treats temporally separated frames of one sequence
     as the two vehicles; each unordered pair is emitted once (i < j).
     Each frame's cloud is indexed once, and every overlap test of that
-    frame queries the same index.
-
-    The overlap tests run on a thread pool with one thread per CPU this
-    process may use (``os.sched_getaffinity``), one task per frame of
-    ``seq_a``; the kd-tree queries release the GIL. Tasks share only the
-    read-only indexes, and their rows are joined in frame order, so the
-    records, their order and their floats do not depend on the thread
-    count.
+    frame queries the same index. The rows of ``seq_a``'s frames are mapped
+    with ``ordered_map``.
     """
     same = seq_a is seq_b
     index_a = [NeighborIndex(f.cloud) for f in seq_a]
@@ -197,9 +189,7 @@ def distill_records(
                 out.append(PairRecord(fa.index, fb.index, d, ov))
         return out
 
-    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
-        rows = list(pool.map(row, range(len(seq_a))))
-    return [record for records in rows for record in records]
+    return [record for records in ordered_map(row, range(len(seq_a))) for record in records]
 
 
 def write_pairs_file(path, records: list[PairRecord]) -> None:

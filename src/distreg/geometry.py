@@ -7,6 +7,8 @@ treat their inputs as immutable and return new arrays.
 
 from __future__ import annotations
 
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -85,18 +87,46 @@ class RigidTransform:
         return RigidTransform(Rt, -Rt @ self.translation)
 
 
-def on_two_threads(first, second):
-    """``(first(), second())``, with ``second`` on a one-worker pool while the
-    calling thread runs ``first``. Both calls always finish before this
-    returns; an exception from ``first`` wins over one from ``second``.
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
 
-    The caller does half the work instead of waiting, so two halves need one
-    new thread (and one malloc arena) rather than two. numpy's large kernels
-    and scipy's kd-trees release the GIL, so halves made of them overlap."""
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        future = pool.submit(second)
-        # leaving the block joins the worker, also when first() raises
-        return first(), future.result()
+
+def ordered_map(fn, items) -> list:
+    """``[fn(x) for x in items]`` on the calling thread plus at most
+    ``min(usable_cpus(), len(items)) - 1`` new threads, each claiming the
+    next unclaimed item; on one CPU it starts none. All items finish before
+    it returns; then the earliest failing item's error is raised. Each call
+    owns its threads, so nested calls cannot deadlock and none outlives the
+    call. The caller works instead of waiting: n threads cost n - 1 new
+    threads and malloc arenas, which keeps peak memory down."""
+    items = list(items)
+    results, errors = [None] * len(items), [None] * len(items)
+    claims, lock = iter(range(len(items))), threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                i = next(claims, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # raised below, after every item
+                errors[i] = exc
+
+    helpers = min(usable_cpus(), len(items)) - 1
+    if helpers > 0:
+        with ThreadPoolExecutor(max_workers=helpers) as pool:
+            for _ in range(helpers):
+                pool.submit(drain)
+            drain()  # leaving the block joins the workers
+    else:
+        drain()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 class NeighborIndex:

@@ -9,15 +9,8 @@ bit-identical training logs and parameters on one numpy/BLAS build at one
 BLAS thread count; another thread count rounds the matrix products
 differently, and the trained parameters drift apart over the epochs.
 
-Threads: a training step runs its two clouds' halves at once, cloud B's on
-a one-worker pool and cloud A's on the calling thread (``on_two_threads``),
-and ``register_pair`` encodes its two clouds the same way. Only the
-contrastive loss couples the clouds; it runs between the two phases on the
-caller. Results are joined in the serial order (A then B), so the bytes do
-not depend on the thread timing. One worker plus the caller, rather than
-two workers, leaves the caller working instead of waiting and starts one
-thread fewer, with one malloc arena fewer: a step's peak memory stays near
-the serial step's.
+Threads: a training step maps its two clouds' halves, and ``register_pair``
+its two encoder passes, with ``geometry.ordered_map``.
 """
 
 from __future__ import annotations
@@ -38,7 +31,7 @@ from .geometry import (
     RigidTransform,
     apply_transform,
     as_points,
-    on_two_threads,
+    ordered_map,
     voxel_downsample,
 )
 from .losses import LossConfig, LossReport, chamfer, hardest_contrastive, l2_offset_reg, total_loss
@@ -231,24 +224,18 @@ def pair_loss_and_grads(
     The chamfer term reconstructs each cloud against its own aggregate;
     the L2 term sums the two per-cloud offset means.
 
-    Apart from the contrastive term the two clouds never meet, so each
-    cloud's half runs on its own thread (``on_two_threads``: cloud B's on
-    one worker, cloud A's on the caller): first its encoder forward, then,
-    after the contrastive loss on the caller with ``rng``, its decoder,
-    chamfer and L2 terms and backward. The halves are joined in the serial
-    order, A then B, for the loss sums and for the gradient sum and its key
-    order, so the result does not depend on which half finishes first; an
-    error of A's half wins over one of B's.
+    Apart from the contrastive term, computed on the caller with ``rng``,
+    the two clouds never meet: each phase maps the two clouds with
+    ``ordered_map``, and the sums are taken A then B.
     """
-    (fa, cache_a), (fb, cache_b) = on_two_threads(
-        lambda: mdl.encoder_forward_cached(cloud_a, enc),
-        lambda: mdl.encoder_forward_cached(cloud_b, enc))
+    (fa, cache_a), (fb, cache_b) = ordered_map(
+        lambda cloud: mdl.encoder_forward_cached(cloud, enc), (cloud_a, cloud_b))
 
     l_ml, d_fa, d_fb = hardest_contrastive(fa, fb, gt_pairs, cfg, rng=rng)
 
-    (cd_a, reg_a, grads_a), (cd_b, reg_b, grads_b) = on_two_threads(
-        lambda: _cloud_loss_and_grads(cloud_a, fa, apc_a, cache_a, d_fa, enc, dec, cfg),
-        lambda: _cloud_loss_and_grads(cloud_b, fb, apc_b, cache_b, d_fb, enc, dec, cfg))
+    (cd_a, reg_a, grads_a), (cd_b, reg_b, grads_b) = ordered_map(
+        lambda half: _cloud_loss_and_grads(*half, enc, dec, cfg),
+        ((cloud_a, fa, apc_a, cache_a, d_fa), (cloud_b, fb, apc_b, cache_b, d_fb)))
     grads = mdl.add_gradients(mdl.add_gradients({}, grads_a), grads_b)
     report = total_loss(l_ml, 0.0 + cd_a + cd_b, 0.0 + reg_a + reg_b, cfg)
     return report, grads
@@ -402,10 +389,9 @@ def train_curriculum(
 # Evaluation protocols (encoder only: no aggregation or decoder on this path)
 # ---------------------------------------------------------------------------
 
-def _encode_pair(cloud_a, cloud_b, enc: mdl.EncoderParams) -> tuple[np.ndarray, np.ndarray]:
-    """Both clouds' features, cloud B's encoded on a second thread."""
-    return on_two_threads(lambda: mdl.encoder_forward(cloud_a, enc),
-                          lambda: mdl.encoder_forward(cloud_b, enc))
+def _encode_pair(cloud_a, cloud_b, enc: mdl.EncoderParams) -> list[np.ndarray]:
+    """Both clouds' features, encoded by ``ordered_map``."""
+    return ordered_map(lambda cloud: mdl.encoder_forward(cloud, enc), (cloud_a, cloud_b))
 
 
 def register_pair(
@@ -415,8 +401,8 @@ def register_pair(
     ransac: RansacConfig,
     input_voxel_size: float = 0.0,
 ):
-    """Online registration: encode both key frames (on two threads),
-    match features mutually, estimate the transform robustly."""
+    """Online registration: encode both key frames, match features
+    mutually, estimate the transform robustly."""
     ca = _prepare_cloud(cloud_a, input_voxel_size)
     cb = _prepare_cloud(cloud_b, input_voxel_size)
     fa, fb = _encode_pair(ca, cb, enc)

@@ -7,8 +7,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +20,7 @@ from .errors import (
     TooFewCorrespondences,
     check_int,
 )
-from .geometry import RigidTransform, as_points, kabsch_points, on_two_threads, rre, rte
+from .geometry import RigidTransform, as_points, kabsch_points, ordered_map, rre, rte, usable_cpus
 
 
 @dataclass(frozen=True)
@@ -90,10 +88,10 @@ class PairResult:
 def mutual_nearest(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mutual nearest rows of two (N, D) arrays: (i, j) is kept iff j is i's
     nearest row of B and i is j's nearest row of A. Returns the (M, 2) int64
-    pairs and each pair's A→B distance. The two trees are built and queried
-    on two threads."""
-    (d_ab, a_to_b), (_, b_to_a) = on_two_threads(lambda: cKDTree(b).query(a, k=1),
-                                                 lambda: cKDTree(a).query(b, k=1))
+    pairs and each pair's A→B distance. The two (rows, tree rows) queries
+    are mapped with ``ordered_map``."""
+    (d_ab, a_to_b), (_, b_to_a) = ordered_map(lambda q: cKDTree(q[1]).query(q[0], k=1),
+                                              ((a, b), (b, a)))
     ia = np.arange(a.shape[0])
     mutual = b_to_a[a_to_b] == ia
     pairs = np.stack([ia[mutual], a_to_b[mutual]], axis=1)
@@ -353,12 +351,9 @@ def ransac_register(pairs, cloud_a, cloud_b, cfg: RansacConfig) -> RansacEstimat
 
     All samples are drawn up front from ``cfg.seed``. Contiguous tasks of at
     most ``_TASK_HYPOTHESES`` of them (fewer when that leaves a CPU idle)
-    are fitted and scored on a thread pool with one worker per CPU the
-    process may use (``os.sched_getaffinity``); each task returns only its
-    first best hypothesis. The tasks' bests are reduced in task order and a
-    later one wins only with strictly more inliers, so ties between
-    hypotheses go to the earliest one and the estimate does not depend on
-    the thread count.
+    are mapped with ``ordered_map``, each to its first best hypothesis; a
+    later task's best wins only with strictly more inliers, so ties go to
+    the earliest hypothesis whatever the thread count.
 
     Inliers are counted by ``_inlier_counts``: one matrix product per row
     block decides every entry farther than a rigorous rounding bound from
@@ -383,8 +378,7 @@ def ransac_register(pairs, cloud_a, cloud_b, cfg: RansacConfig) -> RansacEstimat
 
     corr = _Correspondences.of(src.T.copy(), dst.T.copy())
     thr2 = _squared_threshold(cfg.inlier_threshold)
-    workers = len(os.sched_getaffinity(0))
-    task = min(_TASK_HYPOTHESES, -(-cfg.iterations // workers))
+    task = min(_TASK_HYPOTHESES, -(-cfg.iterations // usable_cpus()))
 
     def best_of(start: int) -> tuple[int, np.ndarray, np.ndarray]:
         block = samples[start : start + task]
@@ -397,10 +391,9 @@ def ransac_register(pairs, cloud_a, cloud_b, cfg: RansacConfig) -> RansacEstimat
         return int(counts[bi]), R[bi].copy(), t[bi].copy()
 
     best_count, best_R, best_t = -1, None, None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for count, R, t in pool.map(best_of, range(0, cfg.iterations, task)):
-            if count > best_count:  # strict: an earlier task keeps a tie
-                best_count, best_R, best_t = count, R, t
+    for count, R, t in ordered_map(best_of, range(0, cfg.iterations, task)):
+        if count > best_count:  # strict: an earlier task keeps a tie
+            best_count, best_R, best_t = count, R, t
 
     if best_count < 0:
         # every sample degenerate (e.g. all correspondences coincident)

@@ -470,6 +470,17 @@ class TestEvaluate:
         printed = capsys.readouterr().out
         assert "density protocol" in printed
 
+    def test_density_ratio_arms_leave_existing_out_alone(self, dataset, pairs_file, checkpoint,
+                                                         tmp_path):
+        # only the arm files are written, so an existing --out needs no --force
+        out = tmp_path / "density.csv"
+        out.write_text("kept\n")
+        assert run(["evaluate", "--dataset", dataset, "--pairs", pairs_file,
+                    "--checkpoint", checkpoint, "--ransac-iterations", 200,
+                    "--input-voxel-size", 0.5, "--density-ratios", "0.5", "--out", out]) == 0
+        assert out.read_text() == "kept\n"
+        assert (tmp_path / "density.r0.5.csv").exists()
+
     def test_density_identity_arm_matches_plain(self, dataset, pairs_file, checkpoint,
                                                 tmp_path):
         args = ["evaluate", "--dataset", dataset, "--pairs", pairs_file,
@@ -632,6 +643,20 @@ class TestMalformedInput:
         self._expect_exit_3([*argv, "--dataset", dataset, "--pairs", pairs,
                              "--out", tmp_path / "out"], pairs, capsys)
         assert sorted(tmp_path.iterdir()) == [pairs]
+
+    def test_negative_frame_index(self, dataset, checkpoint, tmp_path, capsys):
+        # frames -2..13 in files named -00002.bin and so on
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset, ds)
+        for k in range(16):
+            (ds / f"{k:06d}.bin").rename(ds / f"{k - 2:06d}.bin")
+        (ds / "meta.json").write_text(f'{{"frame_indices": {list(range(-2, 14))}}}')
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("i,j,distance_m,overlap\n-2,1,4.2,0.5\n")
+        self._expect_exit_3(["evaluate", "--checkpoint", checkpoint, "--dataset", ds,
+                             "--pairs", pairs, "--density-ratios", "0.5",
+                             "--out", tmp_path / "r.csv"], ds, capsys)
+        assert not (tmp_path / "r.r0.5.csv").exists()
 
     @pytest.mark.parametrize("row,side", [("99,3", 0), ("3,99", 1)], ids=["i", "j"])
     def test_missing_frame_names_pair_and_dataset(self, dataset, tmp_path, capsys, row, side):

@@ -132,6 +132,12 @@ class TestFrameSequence:
         with pytest.raises(ValueError):
             dio.FrameSequence(frames)
 
+    def test_negative_index_rejected(self, rng):
+        pts = rng.uniform(-1, 1, (5, 3))
+        frames = tuple(dio.Frame(pts, g.RigidTransform.identity(), idx) for idx in (-1, 0))
+        with pytest.raises(ValueError, match="non-negative"):
+            dio.FrameSequence(frames)
+
     def test_position_of(self, rng):
         pts = rng.uniform(-1, 1, (5, 3))
         seq = dio.FrameSequence(tuple(
@@ -402,3 +408,14 @@ class TestDatasetDirectory:
         (tmp_path / "ds" / "meta.json").write_bytes(meta)
         with pytest.raises(MalformedFile, match=re.escape(str(tmp_path / "ds"))):
             dio.load_dataset(tmp_path / "ds")
+
+    def test_negative_frame_index_malformed(self, tmp_path, rng):
+        # frames -2 and -1 named as a zero-padded format writes them
+        seq = make_sequence([rng.uniform(-1, 1, (5, 3))] * 2, [g.RigidTransform.identity()] * 2)
+        ds = tmp_path / "ds"
+        dio.save_dataset(ds, seq)
+        for k in (0, 1):
+            (ds / f"{k:06d}.bin").rename(ds / f"{k - 2:06d}.bin")
+        (ds / "meta.json").write_text('{"frame_indices": [-2, -1]}')
+        with pytest.raises(MalformedFile, match="non-negative"):
+            dio.load_dataset(ds)

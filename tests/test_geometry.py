@@ -1,4 +1,7 @@
+import os
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -114,6 +117,82 @@ class TestKabsch:
         same = np.zeros((5, 3))
         with pytest.raises(DegenerateGeometry):
             g.kabsch_points(same, same)
+
+
+class TestOrderedMap:
+    """``[fn(x) for x in items]`` on the caller plus at most min(cpus, n) - 1
+    new threads."""
+
+    @pytest.fixture(params=[1, 2, 5], ids=lambda n: f"{n}cpu")
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+        return request.param
+
+    def test_results_in_item_order(self, cpus):
+        def square_later_ones_first(x):
+            time.sleep(0.01 * (5 - x))
+            return x * x
+
+        assert g.ordered_map(square_later_ones_first, range(6)) == [x * x for x in range(6)]
+        assert g.ordered_map(square_later_ones_first, []) == []
+
+    def test_earliest_error_raised_after_every_item(self, cpus):
+        # item 3 fails first and item 2 finishes last; item 1's error wins
+        finished = []
+
+        def fn(x):
+            time.sleep(0.05 if x in (1, 2) else 0.0)
+            if x in (1, 3):
+                raise ValueError(f"item {x}")
+            finished.append(x)
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="^item 1$"):
+            g.ordered_map(fn, range(5))
+        assert sorted(finished) == [0, 2, 4]
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_new_threads_at_most_cpus_minus_one(self, cpus, n):
+        threads = threading.active_count()
+        seen = []
+
+        def fn(x):
+            seen.append((threading.get_ident(), threading.active_count()))
+            time.sleep(0.05)
+            return x
+
+        assert g.ordered_map(fn, range(n)) == list(range(n))
+        assert threading.active_count() == threads
+        new = {ident for ident, _ in seen} - {threading.get_ident()}
+        assert len(new) <= min(cpus, n) - 1
+        assert max(active for _, active in seen) - threads <= min(cpus, n) - 1
+        if n == 8:  # the caller claims items instead of waiting
+            assert threading.get_ident() in {ident for ident, _ in seen}
+
+    def test_each_item_claimed_once_under_frequent_switches(self, monkeypatch):
+        # more threads than cores, switching every microsecond
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return -x
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = g.ordered_map(fn, range(3000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [-x for x in range(3000)]
+        assert sorted(calls) == list(range(3000))
+
+    def test_nested_call_completes(self, cpus):
+        def row(x):
+            return g.ordered_map(lambda y: x * y, range(4))
+
+        assert g.ordered_map(row, range(4)) == [[x * y for y in range(4)] for x in range(4)]
 
 
 class TestNeighborIndex:
