@@ -114,7 +114,7 @@ class NonFiniteLoss(DistregError):
 
 
 class NonFinite(DistregError):
-    """A scalar input expected to be finite was NaN/Inf."""
+    """An input expected to be finite was NaN/Inf, or overflowed to it."""
 
     exit_code = 5
 

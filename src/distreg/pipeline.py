@@ -9,8 +9,9 @@ bit-identical training logs and parameters on one numpy/BLAS build at one
 BLAS thread count; another thread count rounds the matrix products
 differently, and the trained parameters drift apart over the epochs.
 
-Threads: a training step maps its two clouds' halves, and ``register_pair``
-its two encoder passes, with ``geometry.ordered_map``.
+Threads: a training step maps its two clouds' halves, ``register_pair`` its
+two encoder passes and ``gt_correspondences`` its two nearest-point queries,
+with ``geometry.ordered_map``.
 """
 
 from __future__ import annotations
@@ -161,8 +162,11 @@ def gt_correspondences(cloud_a, cloud_b, gt: RigidTransform, radius: float = 0.3
     """Mutual-closest point pairs within ``radius`` after ground-truth
     alignment of the (N, 3) cloud A onto the (M, 3) cloud B: the (K, 2)
     int64 array of (row of A, row of B) pairs."""
-    pairs, d = mutual_nearest(apply_transform(as_points(cloud_a), gt), as_points(cloud_b))
-    return pairs[d < radius]
+    a, b = apply_transform(as_points(cloud_a), gt), as_points(cloud_b)
+    (d, a_to_b), (_, b_to_a) = ordered_map(lambda qr: NeighborIndex(qr[1]).nearest(qr[0]),
+                                           ((a, b), (b, a)))
+    pairs = mutual_nearest(a_to_b, b_to_a)
+    return pairs[d[pairs[:, 0]] < radius]
 
 
 def feature_inlier_ratio(

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 from conftest import relative_rotation_angle_deg
 from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy.spatial import cKDTree
 
+from distreg import model as mdl
+from distreg import pipeline as pl
 from distreg import register as reg
 from distreg.errors import (
     DegenerateGeometry,
     EmptyFeatureMap,
     EmptyResults,
     MalformedFile,
+    NonFinite,
     TooFewCorrespondences,
 )
 from distreg.geometry import (
@@ -156,6 +160,170 @@ class TestMatchFeatures:
     def test_not_2d_or_unequal_width_raises_value_error(self, rng, shape_a, shape_b):
         with pytest.raises(ValueError, match="2-D with equal dimensions"):
             reg.match_features(rng.normal(size=shape_a), rng.normal(size=shape_b))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises_before_any_product(self, rng, monkeypatch, side, bad):
+        maps = [rng.normal(size=(20, 5)), rng.normal(size=(30, 5))]
+        maps[side][7, 3] = bad
+        monkeypatch.setattr(reg, "_nearest_rows", lambda q, r: pytest.fail("product formed"))
+        with pytest.raises(NonFinite, match="feature maps must be finite") as info:
+            reg.match_features(*maps)
+        assert info.value.exit_code == 5
+
+    def test_overflowing_distances_raise_non_finite(self, rng):
+        # every squared distance is inf, and the kd-tree finds no row
+        fa, fb = 1e160 * rng.normal(size=(20, 4)), -1e160 * np.ones((1, 4))
+        with pytest.raises(NonFinite, match="overflow"):
+            reg.match_features(fa, fb)
+
+
+def kdtree_matches(fa, fb):
+    """The matcher match_features used before the product: a cKDTree query
+    of each map against the other, then the mutual rule."""
+    _, a_to_b = cKDTree(fb).query(fa, k=1)
+    _, b_to_a = cKDTree(fa).query(fb, k=1)
+    ia = np.arange(fa.shape[0])
+    mutual = b_to_a[a_to_b] == ia
+    return np.stack([ia[mutual], a_to_b[mutual]], axis=1).astype(np.int64)
+
+
+class CountingTree(cKDTree):
+    """cKDTree that records the number of rows of every query."""
+
+    queried: list = []
+
+    def query(self, x, *args, **kwargs):
+        CountingTree.queried.append(len(x))
+        return super().query(x, *args, **kwargs)
+
+
+def feature_maps(seed, n, m, dim, scale=1.0, kind="normal"):
+    """(n, dim) and (m, dim) maps: normal draws, small integers (exact ties
+    and duplicated rows), or B made of repeated rows of A."""
+    srng = np.random.default_rng(seed)
+    if kind == "integer":
+        return (scale * srng.integers(-2, 3, (n, dim)).astype(np.float64),
+                scale * srng.integers(-2, 3, (m, dim)).astype(np.float64))
+    fa = scale * srng.normal(size=(n, dim))
+    if kind == "repeated":
+        return fa, fa[srng.integers(0, n, m)]
+    return fa, scale * srng.normal(size=(m, dim))
+
+
+def near_tie_maps(seed, n, dim):
+    """Queries with two reference rows each whose squared distances differ
+    by about an ulp: B's odd rows are its even rows with one coordinate
+    moved by one ulp, and A holds B's even rows plus a small offset."""
+    srng = np.random.default_rng(seed)
+    even = srng.integers(-50, 51, (n, dim)).astype(np.float64)
+    odd = even.copy()
+    axis = srng.integers(0, dim, n)
+    step = np.where(srng.random(n) < 0.5, np.inf, -np.inf)
+    odd[np.arange(n), axis] = np.nextafter(even[np.arange(n), axis], step)
+    fb = np.empty((2 * n, dim))
+    fb[0::2], fb[1::2] = even, odd
+    fa = even + srng.choice([-0.5, 0.25, 0.0], (n, dim))
+    return fa, fb
+
+
+map_shapes = st.one_of(
+    st.tuples(st.integers(150, 500), st.integers(1, 12)),   # N >> M
+    st.tuples(st.integers(1, 12), st.integers(150, 500)),   # M >> N
+    st.tuples(st.just(1), st.integers(1, 400)),             # 1 x M
+    st.tuples(st.integers(20, 200), st.integers(20, 200)),
+)
+
+
+class TestProductMatcher:
+    """_nearest_rows returns cKDTree's nearest row for every query row, and
+    match_features the kd-tree matcher's pairs, byte for byte."""
+
+    @staticmethod
+    def assert_equals_kdtree(fa, fb):
+        for q, r in ((fa, fb), (fb, fa)):
+            np.testing.assert_array_equal(reg._nearest_rows(q, r), cKDTree(r).query(q, k=1)[1])
+        got, ref = reg.match_features(fa, fb), kdtree_matches(fa, fb)
+        assert got.dtype == np.int64 and got.tobytes() == ref.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), map_shapes, st.integers(1, 64), st.integers(-150, 150),
+           st.sampled_from(["normal", "integer", "repeated"]))
+    def test_equals_kdtree(self, seed, shape, dim, exponent, kind):
+        # at 1e150 and wide maps W passes 1e300 and every row goes to the
+        # kd-tree; at 1e-150 subnormal products widen the margin
+        fa, fb = feature_maps(seed, *shape, dim, 10.0 ** exponent, kind)
+        self.assert_equals_kdtree(fa, fb)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.integers(1, 40))
+    def test_one_ulp_near_ties_equal_kdtree(self, seed, n, dim):
+        fa, fb = near_tie_maps(seed, n, dim)
+        self.assert_equals_kdtree(fa, fb)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 7])
+    def test_sizes_straddling_a_block_equal_kdtree(self, monkeypatch, rows, extra):
+        # 2 and 3 blocks of `rows` rows, one short, exact, one over and more
+        fa, fb = feature_maps(rows + extra, 2 * rows + extra, 3 * rows + extra, 16)
+        monkeypatch.setattr(reg, "_MATCH_BLOCK_BYTES", 8 * len(fb) * rows)
+        np.testing.assert_array_equal(reg._nearest_rows(fa, fb), cKDTree(fb).query(fa, k=1)[1])
+        monkeypatch.setattr(reg, "_MATCH_BLOCK_BYTES", 8 * len(fa) * rows)
+        np.testing.assert_array_equal(reg._nearest_rows(fb, fa), cKDTree(fa).query(fb, k=1)[1])
+        assert reg.match_features(fa, fb).tobytes() == kdtree_matches(fa, fb).tobytes()
+
+    @pytest.fixture
+    def fallback(self, monkeypatch):
+        """The row count of every fallback query."""
+        monkeypatch.setattr(CountingTree, "queried", [])
+        monkeypatch.setattr(reg, "cKDTree", CountingTree)
+        return CountingTree.queried
+
+    def test_tie_rows_reach_the_fallback(self, fallback):
+        # queries that equal one of two identical reference rows are exact
+        # ties; the rest equal a row that has no copy
+        srng = np.random.default_rng(4)
+        fb = srng.normal(size=(60, 8))
+        fb[40:50] = fb[30:40]
+        fa = fb[srng.permutation(60)[:45]]
+        ties = np.count_nonzero([(row == fb[30:40]).all(axis=1).any() for row in fa])
+        assert ties > 0
+        nearest = reg._nearest_rows(fa, fb)
+        assert fallback == [ties]
+        np.testing.assert_array_equal(nearest, cKDTree(fb).query(fa, k=1)[1])
+
+    def test_distinct_rows_never_reach_the_fallback(self, fallback):
+        fa, fb = feature_maps(5, 900, 1100, 32)
+        assert reg.match_features(fa, fb).tobytes() == kdtree_matches(fa, fb).tobytes()
+        assert fallback == []
+
+    def test_one_column_with_overflowing_bound_reaches_the_fallback(self, fallback):
+        # a single column is always the row minimum, but where W passes
+        # 1e300 the margin is NaN and the kd-tree answers
+        fa, fb = feature_maps(6, 30, 1, 4, 1e151)
+        np.testing.assert_array_equal(reg._nearest_rows(fa, fb), np.zeros(30))
+        assert fallback == [30]
+
+    def test_nan_margin_sends_every_row_to_the_kd_tree(self, monkeypatch, fallback):
+        fa, fb = feature_maps(7, 200, 150, 32, kind="repeated")
+        monkeypatch.setattr(reg, "_nearest_margin", lambda q, r_sq: np.full(len(q), np.nan))
+        assert reg.match_features(fa, fb).tobytes() == kdtree_matches(fa, fb).tobytes()
+        assert sorted(fallback) == [150, 200]
+
+    @pytest.mark.parametrize("i,j", [(10, 13), (20, 35), (40, 68)])
+    def test_register_pair_estimate_equals_kdtree_matcher(self, monkeypatch, small_scene, i, j):
+        _, _, seq = small_scene
+        enc, _ = mdl.init_params(3)
+        cfg = reg.RansacConfig(iterations=2000, seed=1)
+        matched, match = [], pl.match_features
+        monkeypatch.setattr(pl, "match_features",
+                            lambda fa, fb: matched.append(match(fa, fb)) or matched[-1])
+        est = pl.register_pair(seq[i].cloud, seq[j].cloud, enc, cfg, 0.5)
+        monkeypatch.setattr(pl, "match_features",
+                            lambda fa, fb: matched.append(kdtree_matches(fa, fb)) or matched[-1])
+        ref = pl.register_pair(seq[i].cloud, seq[j].cloud, enc, cfg, 0.5)
+        assert len(matched[0]) >= 3 and matched[0].tobytes() == matched[1].tobytes()
+        assert estimate_bytes(est) == estimate_bytes(ref)
 
 
 class TestRansac:
