@@ -190,11 +190,15 @@ def _mlp_backward(layers, inputs, d: np.ndarray) -> tuple[list[np.ndarray], np.n
 
 @dataclass
 class PoolCache:
-    """What ``_pool_backward`` needs of one pooled-neighborhood block."""
+    """What ``_pool_backward`` needs of one pooled-neighborhood block. The
+    max-pool passes gradient only to the (point, neighbor) rows that win a
+    channel, so only those R rows are kept, in row-major (point, neighbor)
+    order; at k = 24 they are about a third of the N·k rows."""
 
     idx: np.ndarray                # (N, k) neighbor indices
-    pre_inputs: list[np.ndarray]   # per-neighbor layer inputs: (N, k, d), (N, k, h1)
-    argmax: np.ndarray             # (N, h2) winning neighbor per channel
+    win_inputs: list[np.ndarray]   # winner rows' per-neighbor layer inputs: (R, d), (R, h1)
+    win_ids: np.ndarray            # (R,) winner rows' neighbor indices
+    slot: np.ndarray               # (N, h2) winner row of each (point, channel)
     post_inputs: list[np.ndarray]  # post-pool layer inputs: z = [pooled, own] (N, 2*h2), (N, h3)
 
 
@@ -207,46 +211,60 @@ def _pool_forward(idx, gather, own, layers, keep: bool):
 
     The per-neighbor stage runs in row blocks whose (B, k, h)
     intermediates stay cache-resident at large N; each row's products do
-    not depend on the block it falls in. With ``keep`` the blocks' layer
-    inputs and winning neighbors are kept and a PoolCache is returned. The
-    post-pool MLP always runs once over all rows."""
+    not depend on the block it falls in. With ``keep`` each channel's
+    winner is the earliest neighbor holding its max (as argmax picks it,
+    also when the max is ReLU's zero), the layer inputs and neighbor
+    indices of the rows that win any channel are kept, and a PoolCache is
+    returned. The post-pool MLP always runs once over all rows."""
     pre, post = layers[:4], layers[4:]
     n, k = idx.shape
     pooled = np.empty(own.shape)
     if keep:
-        pre_inputs = [np.empty((n, k, w.shape[1])) for w in pre[::2]]
-        argmax = np.empty(own.shape, dtype=np.intp)
+        slot = np.empty(own.shape, dtype=np.intp)
+        kept_inputs, kept_ids, n_kept = [], [], 0
     block = max(1, _BLOCK_ELEMENTS // (k * own.shape[1]))
     for start in range(0, n, block):
         rows = slice(start, start + block)
-        h2v, inputs = _mlp_forward(gather(idx[rows], rows), pre)
+        nbrs = idx[rows]
+        h2v, inputs = _mlp_forward(gather(nbrs, rows), pre)
         np.maximum(h2v, 0.0, out=h2v)
         pooled[rows] = h2v.max(axis=1)
         if keep:
-            # the first neighbor holding each channel's max, as argmax would
-            # pick it, from one pass over a boolean array
-            argmax[rows] = (h2v == pooled[rows, None, :]).argmax(axis=1)
-            for kept, x in zip(pre_inputs, inputs):
-                kept[rows] = x
+            # the first neighbor holding each channel's max, from one pass
+            # over a boolean array
+            first = (h2v == pooled[rows, None, :]).argmax(axis=1)
+            first += k * np.arange(first.shape[0])[:, None]  # row of the block's (B·k) rows
+            wins = np.zeros(nbrs.size, dtype=bool)
+            wins[first] = True
+            won = np.flatnonzero(wins)
+            slot[rows] = np.cumsum(wins)[first] + (n_kept - 1)
+            n_kept += won.size
+            kept_inputs.append([x.reshape(-1, x.shape[-1]).take(won, axis=0) for x in inputs])
+            kept_ids.append(nbrs.reshape(-1).take(won))
+    if keep:
+        # joined and released before the post-pool MLP allocates its own
+        win_inputs = [np.concatenate(parts) for parts in zip(*kept_inputs)]
+        win_ids = np.concatenate(kept_ids)
+        del kept_inputs, kept_ids
     out, post_inputs = _mlp_forward(np.concatenate([pooled, own], axis=1), post)
-    cache = PoolCache(idx, pre_inputs, argmax, post_inputs) if keep else None
+    cache = PoolCache(idx, win_inputs, win_ids, slot, post_inputs) if keep else None
     return out, cache
 
 
 def _pool_backward(layers, cache: PoolCache, d: np.ndarray):
     """Gradients of sum(d * out) for the block's eight tensors (in layer
-    order), for the per-neighbor first-layer outputs (N, k, h1) and for
-    ``own``."""
+    order), for the winner rows' per-neighbor first-layer outputs (R, h1)
+    and for ``own``."""
     post_grads, dz = _mlp_backward(layers[4:], cache.post_inputs, d)
     dz = dz @ layers[4]
     z = cache.post_inputs[0]
     h2 = z.shape[1] // 2
-    # max-pool: route each channel's gradient to its winning neighbor, if
-    # that neighbor's activation (the pooled value) is positive
-    da2 = np.zeros((*cache.idx.shape, h2))
-    np.put_along_axis(da2, cache.argmax[:, None, :],
-                      (dz[:, :h2] * (z[:, :h2] > 0))[:, None, :], axis=1)
-    pre_grads, d_nbr = _mlp_backward(layers[:4], cache.pre_inputs, da2)
+    # max-pool: route each channel's gradient to its winner row, if that
+    # row's activation (the pooled value) is positive. A winner row belongs
+    # to one point, so no (row, channel) is written twice
+    da2 = np.zeros((cache.win_ids.size, h2))
+    da2[cache.slot, np.arange(h2)] = dz[:, :h2] * (z[:, :h2] > 0)
+    pre_grads, d_nbr = _mlp_backward(layers[:4], cache.win_inputs, da2)
     return pre_grads + post_grads, d_nbr, dz[:, h2:]
 
 
@@ -375,8 +393,7 @@ def decoder_backward(
     for j, g in enumerate(own_grads):
         grads[j] += g
     dfm = np.zeros(cache.inputs[0].shape)
-    np.add.at(dfm, cache.pool.idx.reshape(-1),
-              (da1_nbr @ params.layers[0]).reshape(-1, dfm.shape[1]))
+    np.add.at(dfm, cache.pool.win_ids, da1_nbr @ params.layers[0])
     dfm += da1_own @ params.layers[0]
     return {f"dec.t{j}": g for j, g in enumerate(grads)}, dfm
 

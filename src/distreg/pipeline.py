@@ -247,9 +247,10 @@ def pair_loss_and_grads(
 
 def _cloud_loss_and_grads(cloud, feats, apc, cache, d_f, enc, dec, cfg: LossConfig):
     """One cloud's chamfer and L2 terms (zero without the decoder) and its
-    gradients, given its metric-loss gradient ``d_f``. The decoder's cache
-    goes before the encoder backward runs, which keeps each thread's peak
-    down; the keys are in ``mdl.backward``'s order."""
+    gradients, given its metric-loss gradient ``d_f``. Both pooled caches
+    hold only their max-pool winner rows, and the decoder's goes before the
+    encoder backward runs, which keeps each thread's peak down; the keys
+    are in ``mdl.backward``'s order."""
     if not (cfg.lambda1 > 0 or cfg.lambda2 > 0):
         return 0.0, 0.0, mdl.backward(enc, cache, d_f, dec)
     offsets, dec_cache = mdl.decoder_forward_cached(feats, dec, cache.pool.idx)
