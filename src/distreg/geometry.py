@@ -88,8 +88,12 @@ class RigidTransform:
 
 
 def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
+    """The number of CPUs this process may run on: its affinity set where
+    the platform has one, else ``os.cpu_count()``, and at least 1."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows have no affinity call
+        return os.cpu_count() or 1
 
 
 def ordered_map(fn, items) -> list:

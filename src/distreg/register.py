@@ -242,13 +242,18 @@ def _batched_kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.nd
     sign-fixed SVD returns in exact arithmetic. The degenerate rule is the
     SVD's, σ2 < 1e-12 σ1; a sample with no finite frame (repeated index,
     coincident or exactly collinear points) is degenerate too and gets
-    R = I. Every step is elementwise over the B samples;
-    tests/test_register.py keeps the SVD fit as the reference."""
-    p = np.ascontiguousarray(src.transpose(1, 2, 0))  # (3 points, 3 coords, B)
-    q = np.ascontiguousarray(dst.transpose(1, 2, 0))
+    R = I. Every step is elementwise over the B samples, so a sample's fit
+    is the same bytes in any batch; both sides' triples are framed in one
+    call over (3 points, 3 coords, 2B). tests/test_register.py keeps the
+    SVD fit as the reference."""
+    b = src.shape[0]
+    pq = np.empty((3, 3, 2 * b))
+    pq[:, :, :b] = src.transpose(1, 2, 0)
+    pq[:, :, b:] = dst.transpose(1, 2, 0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        fp, L1, g1, h1 = _triple_frame(p)
-        fq, L2, g2, h2 = _triple_frame(q)
+        frame, L, g, h = _triple_frame(pq)
+        fp, L1, g1, h1 = frame[:, :, :b], L[:b], g[:b], h[:b]
+        fq, L2, g2, h2 = frame[:, :, b:], L[b:], g[b:], h[b:]
         # 3 M = 3 Σ x_i y_iᵀ − (Σ x_i)(Σ y_i)ᵀ over the in-plane offsets
         # x = 0, (L1, 0), (g1, h1) and y = 0, (L2, 0), (g2, h2) from point 0
         m00 = 2 * (L1 * L2 + g1 * g2) - L1 * g2 - g1 * L2
@@ -265,7 +270,8 @@ def _batched_kabsch(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.nd
         sigma1, sigma2 = 0.5 * (r + f), 0.5 * (r - f)
         degenerate = ~(sigma2 >= 1e-12 * np.maximum(sigma1, np.finfo(np.float64).tiny))
     R[:, :, ~np.isfinite(R).all(axis=(0, 1))] = np.eye(3)[:, :, None]
-    cp, cq = p.mean(axis=0), q.mean(axis=0)
+    centroid = pq.mean(axis=0)
+    cp, cq = centroid[:, :b], centroid[:, b:]
     t = cq - (R[:, 0] * cp[0] + R[:, 1] * cp[1] + R[:, 2] * cp[2])
     return np.ascontiguousarray(R.transpose(2, 0, 1)), np.ascontiguousarray(t.T), degenerate
 
@@ -283,22 +289,29 @@ def _squared_threshold(thr: float) -> float:
     return x
 
 
-# ransac_register scores each task in row blocks whose (rows, n) float64
-# product takes at most this much. OpenBLAS 0.3.31 threads a product from
-# M·N·K ≈ 2^20 on, which 512 KB blocks reach (K = 16), and at two BLAS
-# threads the pool's workers then contend for its threads. RANSAC over the
-# 8 register-bins pairs (2 vCPUs, median of 7 runs) took 0.55 / 0.40 /
-# 0.40 s at one BLAS thread and 0.61 / 0.45 / 0.68 s at two, for 128 /
-# 256 / 512 KB blocks.
-_SCORE_BLOCK_BYTES = 1 << 18
+# ransac_register scores each task in row blocks of (rows, n) float64 of at
+# most this many bytes, each formed by products of a quarter of it.
+# OpenBLAS 0.3.31 threads a product from M·N·K ≈ 2^20 on, which 512 KB
+# products reach (K = 16), and at two BLAS threads the pool's workers then
+# contend for its threads: RANSAC over the 8 register-bins pairs took
+# 0.32 s in 1 MB blocks and 0.65 s in 2 MB ones (2 vCPUs, two workers,
+# median of 7). Every other call runs once per block, and each call takes
+# the GIL once: scoring the 331-match pair's 50,000 hypotheses took 22 ms
+# on two workers in 1 MB blocks against 37 ms in 256 KB blocks of one
+# product, and 36 against 40 ms on one worker (one BLAS thread, best of
+# 15).
+_SCORE_BLOCK_BYTES = 1 << 20
 
-# hypotheses per ransac_register task. The product, the compares and the
-# counts release the GIL, but each call is short, and the fit's and the
-# margin's many (B,)-array calls hold it; a task pays those calls once, so
-# larger tasks spend less time waiting for the GIL. 4096 took 0.40 s
-# against 2048's 0.54 s at one BLAS thread, and 0.45 against 0.53 s at two
-# (same runs).
-_TASK_HYPOTHESES = 4096
+# hypotheses per ransac_register task, fewer when that leaves a CPU idle;
+# the default 50,000 samples make two tasks per CPU on two CPUs. Each of
+# the fit's (B,)-array calls takes the GIL once whatever B, so small tasks
+# queue for it, while very large ones outgrow the caches. The fit alone
+# over 100,000 hypotheses of the 331-match pair took 49 / 40 / 42 / 61 ms
+# on one worker and 43 / 31 / 32 / 54 ms on two, for 2,048 / 6,250 /
+# 12,500 / 50,000-row tasks (one BLAS thread, best of 11); a register-bins
+# pass on two workers took 488 / 447 / 429 ms for 4,096 / 6,250 / 12,500
+# (medians of 4).
+_TASK_HYPOTHESES = 12_500
 
 
 def _squared_residuals(R: np.ndarray, t: np.ndarray, src_t: np.ndarray,
@@ -395,11 +408,12 @@ def _inlier_counts(R: np.ndarray, t: np.ndarray, corr: _Correspondences,
                    thr2: float) -> np.ndarray:
     """Each of the B hypotheses' count of ``_squared_residuals < thr2``.
 
-    Row block by row block, G = A F is one matrix product (see
-    ``_band_margin``), and ``G < thr2 - c - m`` is a sure inlier and
-    ``G >= thr2 - c + m`` a sure outlier. A row with any entry in neither,
-    NaN included, is rescored with ``_squared_residuals``, so every count
-    is the exact scorer's whatever the BLAS and its thread count."""
+    Row block by row block, G = A F is formed by matrix products of a
+    quarter block each (see ``_band_margin``), and ``G < thr2 - c - m`` is
+    a sure inlier and ``G >= thr2 - c + m`` a sure outlier. A row with any
+    entry in neither, NaN included, is rescored with ``_squared_residuals``,
+    so every count is the exact scorer's whatever the BLAS and its thread
+    count."""
     b, n = R.shape[0], corr.c.shape[0]
     A = np.empty((b, 16))
     A[:, 0] = _dot(t.T, t.T)
@@ -407,6 +421,7 @@ def _inlier_counts(R: np.ndarray, t: np.ndarray, corr: _Correspondences,
     A[:, 4:7] = np.einsum("bij,bi->bj", R, t)
     A[:, 7:] = R.reshape(b, 9)
     rows = max(1, _SCORE_BLOCK_BYTES // (8 * n))
+    product_rows = max(1, rows // 4)
     g = np.empty((min(rows, b), n))
     mask = np.empty(g.shape, dtype=bool)
     counts = np.empty(b, dtype=np.intp)
@@ -418,7 +433,9 @@ def _inlier_counts(R: np.ndarray, t: np.ndarray, corr: _Correspondences,
         for r in range(0, b, rows):
             k = min(rows, b - r)
             gk, mk = g[:k], mask[:k]
-            np.matmul(A[r : r + k], corr.features, out=gk)
+            for p in range(0, k, product_rows):
+                q = min(k, p + product_rows)
+                np.matmul(A[r + p : r + q], corr.features, out=gk[p:q])
             inside = np.add.reduce(np.less(gk, lo, out=mk).view(np.uint8), axis=1,
                                    dtype=np.int32)
             counts[r : r + k] = inside
@@ -436,17 +453,31 @@ def ransac_register(pairs, cloud_a, cloud_b, cfg: RansacConfig) -> RansacEstimat
     array of (row of A, row of B) matches into the (N, 3) and (M, 3) clouds;
     an index outside them raises ValueError.
 
-    All samples are drawn up front from ``cfg.seed``. Contiguous tasks of at
-    most ``_TASK_HYPOTHESES`` of them (fewer when that leaves a CPU idle)
-    are mapped with ``ordered_map``, each to its first best hypothesis; a
-    later task's best wins only with strictly more inliers, so ties go to
-    the earliest hypothesis whatever the thread count.
+    All samples are drawn up front from ``cfg.seed``. Where the n³ ordered
+    triples of the n correspondences are no more than the samples, each
+    distinct sampled triple is one hypothesis, fitted and scored once, and
+    every sample takes its triple's count; otherwise each sample is one.
+    (On 50,000 samples the distinct triples alone were faster up to n³ ≈ 3
+    times the samples, but their codes and count table take 8 bytes per
+    sample and per ordered triple; at n³ ≤ samples that stays below the
+    samples' own 24 bytes each.) Contiguous tasks of at most
+    ``_TASK_HYPOTHESES`` hypotheses (fewer when that leaves a CPU idle) are
+    mapped with ``ordered_map``, their counts joined in order, and the
+    first maximum in sample order wins, so ties go to the earliest sample
+    whatever the thread count. The fit is elementwise, so the winning
+    sample refitted alone has the bytes it was scored with.
 
-    Inliers are counted by ``_inlier_counts``: one matrix product per row
-    block decides every entry farther than a rigorous rounding bound from
+    Inliers are counted by ``_inlier_counts``: each row block's matrix
+    products decide every entry farther than a rigorous rounding bound from
     the threshold, and a row with an entry inside that band is rescored
     with the exact scorer ``_squared_residuals``. Every count, and so the
-    estimate, is the exact scorer's whatever the BLAS rounds."""
+    estimate, is the exact scorer's whatever the BLAS rounds.
+
+    Over the 8 register-bins pairs (20 to 331 matches, 50,000 samples; the
+    two smallest take the distinct path) RANSAC took 341 ms on one worker
+    and 241 ms on two, against 413 and 361 ms when every sample was fitted
+    in 4,096-sample tasks that kept their own best (2 vCPUs, one BLAS
+    thread, in the benchmark's process after its set-up, medians of 6)."""
     a = as_points(cloud_a)
     b = as_points(cloud_b)
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -463,28 +494,47 @@ def ransac_register(pairs, cloud_a, cloud_b, cfg: RansacConfig) -> RansacEstimat
     rng = np.random.default_rng(cfg.seed)
     samples = rng.integers(0, n, size=(cfg.iterations, 3))
 
+    # distinct hypotheses are held as their codes in the n³ space, ascending
+    distinct = n**3 <= cfg.iterations
+    if distinct:
+        codes = np.ravel_multi_index(samples.T, (n, n, n))
+        table = np.zeros(n**3, dtype=np.intp)
+        table[codes] = 1
+        hypotheses = np.flatnonzero(table)
+    else:
+        hypotheses = samples
+
     corr = _Correspondences.of(src.T.copy(), dst.T.copy())
     thr2 = _squared_threshold(cfg.inlier_threshold)
-    task = min(_TASK_HYPOTHESES, -(-cfg.iterations // usable_cpus()))
+    task = min(_TASK_HYPOTHESES, -(-len(hypotheses) // usable_cpus()))
 
-    def best_of(start: int) -> tuple[int, np.ndarray, np.ndarray]:
-        block = samples[start : start + task]
+    def counts_of(start: int) -> np.ndarray:
+        block = hypotheses[start : start + task]
+        # (3 points, B) indices; each side is gathered as (3 coords, 3 points,
+        # B) rows and fitted through a (B, 3, 3) view of them
+        index = np.stack(np.unravel_index(block, (n, n, n))) if distinct else block.T
+        s = corr.src_t.take(index, axis=1).transpose(2, 1, 0)
+        d = corr.dst_t.take(index, axis=1).transpose(2, 1, 0)
         # repeated indices within a sample make it degenerate; the batched
         # fit flags them along with coincident and collinear triples
-        R, t, degenerate = _batched_kabsch(src[block], dst[block])
+        R, t, degenerate = _batched_kabsch(s, d)
         counts = _inlier_counts(R, t, corr, thr2)
         counts[degenerate] = -1
-        bi = int(np.argmax(counts))  # first maximum: earliest hypothesis wins ties
-        return int(counts[bi]), R[bi].copy(), t[bi].copy()
+        return counts
 
-    best_count, best_R, best_t = -1, None, None
-    for count, R, t in ordered_map(best_of, range(0, cfg.iterations, task)):
-        if count > best_count:  # strict: an earlier task keeps a tie
-            best_count, best_R, best_t = count, R, t
-
-    if best_count < 0:
+    counts = np.concatenate(ordered_map(counts_of, range(0, len(hypotheses), task)))
+    if distinct:  # each sample takes its triple's count
+        table[hypotheses] = counts
+        counts = table[codes]
+    best = int(np.argmax(counts))  # first maximum: the earliest sample wins ties
+    if counts[best] < 0:
         # every sample degenerate (e.g. all correspondences coincident)
         raise TooFewCorrespondences("no non-degenerate minimal sample found")
+    # the fit is elementwise, so the winning sample alone refits to the bytes
+    # it was scored with
+    winner = samples[best : best + 1]
+    R, t, _ = _batched_kabsch(src[winner], dst[winner])
+    best_R, best_t = R[0], t[0]
 
     resid = np.linalg.norm(src @ best_R.T + best_t - dst, axis=1)
     inliers = resid < cfg.inlier_threshold

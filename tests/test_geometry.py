@@ -194,6 +194,16 @@ class TestOrderedMap:
 
         assert g.ordered_map(row, range(4)) == [[x * y for y in range(4)] for x in range(4)]
 
+    @pytest.mark.parametrize("cpu_count,usable", [(3, 3), (None, 1)])
+    def test_no_affinity_call_falls_back_to_cpu_count(self, monkeypatch, cpu_count, usable):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert g.usable_cpus() == usable
+        threads = threading.active_count()
+        assert g.ordered_map(lambda x: x + 1, range(5)) == [1, 2, 3, 4, 5]
+        assert threading.active_count() == threads
+
 
 class TestNeighborIndex:
     def test_only_index_over_points(self):

@@ -525,35 +525,44 @@ def estimate_bytes(est):
             est.inlier_count)
 
 
+@pytest.fixture(params=[1, 2, 5], ids=lambda n: f"{n}cpu")
+def cpus(request, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    return request.param
+
+
+def register_joined(pairs, a, b, cfg):
+    """ransac_register, checking that it leaves no thread behind."""
+    threads = threading.active_count()
+    est = reg.ransac_register(pairs, a, b, cfg)
+    assert threading.active_count() == threads
+    return est
+
+
+def no_refit(src, dst):  # keeps ransac_register's raw winner
+    raise DegenerateGeometry("refit disabled")
+
+
 class TestPooledRansac:
     """The pool's estimate equals the serial loop's, whatever the CPU count."""
 
-    @pytest.fixture(params=[1, 2, 5], ids=lambda n: f"{n}cpu")
-    def cpus(self, request, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
-        return request.param
-
-    def register(self, pairs, a, b, cfg):
-        threads = threading.active_count()
-        est = reg.ransac_register(pairs, a, b, cfg)
-        assert threading.active_count() == threads
-        return est
-
-    # 5,000 and 4,097 iterations split into several full tasks and a short
-    # one; 7 iterations over 5 CPUs into tasks of 2
+    # 12,501 iterations split into full tasks and a short one, 4,097 into one
+    # task or a few; 7 iterations over 5 CPUs into tasks of 2. n = 8 and
+    # n = 3 take the distinct-sample path (n³ <= iterations)
     @pytest.mark.parametrize("seed,n,iterations", [
         (0, 8, 5000), (3, 29, 4097), (5, 150, 5000), (6, 331, 4097), (7, 60, 7), (8, 3, 50),
+        (3, 29, 12_501), (6, 331, 12_501),
     ])
     def test_estimate_bytes_equal_serial_loop(self, cpus, seed, n, iterations):
         a, b = ransac_scene(seed, n)
         cfg = reg.RansacConfig(iterations=iterations, inlier_threshold=0.3, seed=seed)
-        est = self.register(identity_corr(n), a, b, cfg)
+        est = register_joined(identity_corr(n), a, b, cfg)
         assert estimate_bytes(est) == estimate_bytes(serial_ransac(identity_corr(n), a, b, cfg))
 
     def test_tie_across_tasks_goes_to_earliest(self, cpus, monkeypatch):
         # noise-free: every non-degenerate sample has all n inliers, so every
         # task ties at n and the raw winner is the first non-degenerate sample
-        n, iterations = 40, 6000
+        n, iterations = 40, 30_000
         srng = np.random.default_rng(11)
         a = srng.uniform(-30, 30, (n, 3))
         b = apply_transform(a, random_transform(srng, 10.0))
@@ -564,12 +573,8 @@ class TestPooledRansac:
         first = int(np.argmin(degenerate))
         # the hypotheses differ in their last bits, so bytes tell them apart
         assert len({R[i].tobytes() for i in range(iterations) if not degenerate[i]}) > 100
-
-        def no_refit(src, dst):  # keep the raw winner
-            raise DegenerateGeometry("refit disabled")
-
         monkeypatch.setattr(reg, "kabsch_points", no_refit)
-        est = self.register(identity_corr(n), a, b, cfg)
+        est = register_joined(identity_corr(n), a, b, cfg)
         assert est.transform.rotation.tobytes() == R[first].tobytes()
         assert est.transform.translation.tobytes() == t[first].tobytes()
         assert est.inlier_count == n
@@ -577,7 +582,7 @@ class TestPooledRansac:
     def test_all_degenerate_raises_and_joins_workers(self, cpus):
         a = np.ones((10, 3))
         with pytest.raises(TooFewCorrespondences, match="non-degenerate"):
-            self.register(identity_corr(10), a, a, reg.RansacConfig(iterations=5000))
+            register_joined(identity_corr(10), a, a, reg.RansacConfig(iterations=5000))
 
 
 def product_counts(R, t, src, dst, thr):
@@ -601,47 +606,62 @@ def boundary_scene(seed, n=120, offset=50.0):
     return a, b
 
 
+@pytest.fixture
+def recorded(monkeypatch):
+    """The (R, t, counts) of every _inlier_counts call, as returned."""
+    calls, count = [], reg._inlier_counts
+
+    def spy(R, t, *args):
+        counts = count(R, t, *args)
+        calls.append((R, t, counts.copy()))
+        return counts
+
+    monkeypatch.setattr(reg, "_inlier_counts", spy)
+    return calls
+
+
+def hypothesis_samples(samples, n):
+    """The sample each of ransac_register's hypotheses stands for, in its
+    order: every sample or, where the n³ ordered triples are no more than
+    the samples, the first sample of each distinct triple, in order of the
+    triple's code (i0 n + i1) n + i2."""
+    if n**3 > len(samples):
+        return np.arange(len(samples))
+    codes = (samples[:, 0] * n + samples[:, 1]) * n + samples[:, 2]
+    return np.unique(codes, return_index=True)[1]
+
+
 class TestProductScorer:
     """_inlier_counts gives every hypothesis the count of
     _squared_residuals < thr2, and ransac_register the estimate bytes of
     serial_ransac, which scores every row with _squared_residuals."""
 
-    @pytest.fixture
-    def recorded(self, monkeypatch):
-        """The (R, t, counts) of every _inlier_counts call, as returned."""
-        calls, count = [], reg._inlier_counts
-
-        def spy(R, t, *args):
-            counts = count(R, t, *args)
-            calls.append((R, t, counts.copy()))
-            return counts
-
-        monkeypatch.setattr(reg, "_inlier_counts", spy)
-        return calls
-
     @staticmethod
     def assert_counts_exact(calls, a, b, cfg):
-        """Each task's counts sit at the samples it scored, found by
-        comparing bytes with one fit of all samples; together they cover
-        every sample once and equal the exact scorer's counts."""
+        """Each task's counts sit at the hypotheses it scored, found by
+        comparing bytes with one fit of all hypotheses' samples; together
+        they cover every hypothesis once and equal the exact scorer's
+        counts."""
         n = len(a)
         samples = np.random.default_rng(cfg.seed).integers(0, n, (cfg.iterations, 3))
-        R, t, _ = reg._batched_kabsch(a[samples], b[samples])
-        counts = np.full(cfg.iterations, -2)
+        hyp = samples[hypothesis_samples(samples, n)]
+        R, t, _ = reg._batched_kabsch(a[hyp], b[hyp])
+        counts = np.full(len(hyp), -2)
         task = max(len(c) for _, _, c in calls)
         for Rk, tk, ck in calls:
-            start = [s for s in range(0, cfg.iterations, task)
+            start = [s for s in range(0, len(hyp), task)
                      if R[s : s + len(ck)].tobytes() == Rk.tobytes()
                      and t[s : s + len(ck)].tobytes() == tk.tobytes()]
             assert len(start) == 1
             assert (counts[start[0] : start[0] + len(ck)] == -2).all()
             counts[start[0] : start[0] + len(ck)] = ck
-        np.testing.assert_array_equal(
-            counts, fused_counts(R, t, a, b, cfg.inlier_threshold))
+        for s in range(0, len(hyp), 4096):  # bounds the exact scorer's (rows, n) arrays
+            np.testing.assert_array_equal(counts[s : s + 4096], fused_counts(
+                R[s : s + 4096], t[s : s + 4096], a, b, cfg.inlier_threshold))
 
     def test_every_hypothesis_count_equals_exact_scorer(self, monkeypatch, recorded):
         a, b = ransac_scene(6, 331)
-        cfg = reg.RansacConfig(iterations=9000, inlier_threshold=0.3, seed=6)
+        cfg = reg.RansacConfig(iterations=30_000, inlier_threshold=0.3, seed=6)
         for cpus in (1, 2, 5):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             recorded.clear()
@@ -650,14 +670,25 @@ class TestProductScorer:
             assert len(recorded) >= 3  # several tasks, each of several row blocks
 
     def test_one_product_per_task_counts_exact(self, monkeypatch, recorded):
-        # (4096, 16) @ (16, 331) products, which a multi-threaded BLAS splits
-        # across its threads
+        # a (task, 16) @ (16, 331) product per task, which a multi-threaded
+        # BLAS splits across its threads
         monkeypatch.setattr(reg, "_SCORE_BLOCK_BYTES", 1 << 40)
         a, b = ransac_scene(6, 331)
         cfg = reg.RansacConfig(iterations=9000, inlier_threshold=0.3, seed=6)
         est = reg.ransac_register(identity_corr(331), a, b, cfg)
         self.assert_counts_exact(recorded, a, b, cfg)
         assert estimate_bytes(est) == estimate_bytes(serial_ransac(identity_corr(331), a, b, cfg))
+
+    @pytest.mark.parametrize("b", [1, 4, 5, 6, 19, 20, 21, 43])
+    def test_counts_exact_at_sizes_straddling_blocks_and_products(self, monkeypatch, b):
+        # 20-row blocks, each formed by products of 5 rows
+        n = 150
+        src, dst = ransac_scene(5, n)
+        monkeypatch.setattr(reg, "_SCORE_BLOCK_BYTES", 8 * n * 20)
+        samples = np.random.default_rng(5).integers(0, n, (b, 3))
+        R, t, _ = reg._batched_kabsch(src[samples], dst[samples])
+        np.testing.assert_array_equal(product_counts(R, t, src, dst, 0.3),
+                                      fused_counts(R, t, src, dst, 0.3))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_counts_at_threshold_and_one_ulp_either_side(self, monkeypatch, seed):
@@ -754,6 +785,60 @@ class TestProductScorer:
         dst = src @ R[0].T + t[0] + u * radius[:, None]
         np.testing.assert_array_equal(product_counts(R, t, src, dst, thr),
                                       fused_counts(R, t, src, dst, thr))
+
+
+class TestDistinctSamples:
+    """Where the n³ ordered triples are no more than the samples,
+    ransac_register fits and scores each distinct sampled triple once and
+    the earliest sample still wins a tie; either side of that rule the
+    estimate is serial_ransac's, whatever the CPU count."""
+
+    # n³ equal to the iterations (distinct triples) and one above them
+    # (every sample); 20 and 21 matches are register-bins' smallest pairs
+    rule_edge = pytest.mark.parametrize("n,iterations", [
+        (20, 8000), (20, 7999), (21, 9261), (21, 9260), (4, 64), (4, 63),
+    ])
+
+    @rule_edge
+    def test_estimate_bytes_equal_serial_loop(self, cpus, n, iterations):
+        a, b = ransac_scene(n, n)
+        cfg = reg.RansacConfig(iterations=iterations, inlier_threshold=0.3, seed=n)
+        est = register_joined(identity_corr(n), a, b, cfg)
+        assert estimate_bytes(est) == estimate_bytes(serial_ransac(identity_corr(n), a, b, cfg))
+
+    @rule_edge
+    def test_rows_scored_are_distinct_triples_below_rule(self, cpus, recorded, n, iterations):
+        a, b = ransac_scene(n, n)
+        cfg = reg.RansacConfig(iterations=iterations, inlier_threshold=0.3, seed=n)
+        reg.ransac_register(identity_corr(n), a, b, cfg)
+        samples = np.random.default_rng(n).integers(0, n, (iterations, 3))
+        distinct = len(np.unique(samples, axis=0))
+        assert distinct < iterations
+        rows = sum(len(c) for _, _, c in recorded)
+        assert rows == (distinct if n**3 <= iterations else iterations)
+        TestProductScorer.assert_counts_exact(recorded, a, b, cfg)
+
+    def test_tie_goes_to_first_sample_position(self, cpus, monkeypatch):
+        # noise-free: every non-degenerate triple has all n inliers, so the
+        # raw winner is the first non-degenerate sample, which is not the
+        # first non-degenerate triple in code order
+        n, iterations = 12, 3000
+        srng = np.random.default_rng(12)
+        a = srng.uniform(-30, 30, (n, 3))
+        b = apply_transform(a, random_transform(srng, 10.0))
+        cfg = reg.RansacConfig(iterations=iterations, inlier_threshold=0.3, seed=12)
+        samples = np.random.default_rng(12).integers(0, n, (iterations, 3))
+        R, t, degenerate = reg._batched_kabsch(a[samples], b[samples])
+        assert (fused_counts(R, t, a, b, 0.3)[~degenerate] == n).all()
+        first = int(np.argmin(degenerate))
+        hyp = hypothesis_samples(samples, n)
+        assert len(hyp) < iterations
+        assert R[first].tobytes() != R[hyp[np.argmin(degenerate[hyp])]].tobytes()
+        monkeypatch.setattr(reg, "kabsch_points", no_refit)
+        est = register_joined(identity_corr(n), a, b, cfg)
+        assert est.transform.rotation.tobytes() == R[first].tobytes()
+        assert est.transform.translation.tobytes() == t[first].tobytes()
+        assert est.inlier_count == n
 
 
 class TestRansacConfig:
