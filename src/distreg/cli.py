@@ -245,9 +245,12 @@ def _load_datasets(args) -> tuple[dataio.FrameSequence, dataio.FrameSequence]:
 
 
 def _read_pairs(args, seq_a, seq_b) -> list[dataio.PairRecord]:
-    """``--pairs``, each pair naming a frame of ``seq_a`` and one of ``seq_b``."""
+    """``--pairs``, each pair naming a frame of ``seq_a`` and one of ``seq_b``;
+    a file with no pairs raises NoPairs."""
     path = _check_input(args.pairs, "pairs file")
     records = dataio.read_pairs_file(path)
+    if not records:
+        raise NoPairs("pairs file is empty")
     datasets = ((args.dataset, {f.index for f in seq_a}),
                 (args.dataset_b or args.dataset, {f.index for f in seq_b}))
     for r in records:
@@ -360,14 +363,13 @@ def cmd_train(args) -> int:
 
     if args.curriculum:
         enc, dec, logs = pipeline.train_curriculum(seq_a, seq_b, cfg, spec)
+        steps = (s for lg in logs for s in lg.steps)  # each phase counts from 0
         log = pipeline.TrainLog(
-            steps=[s for lg in logs for s in lg.steps],
+            steps=[dataclasses.replace(s, step=n) for n, s in enumerate(steps)],
             epochs=[e for lg in logs for e in lg.epochs],
         )
     else:
         records = _read_pairs(args, seq_a, seq_b)
-        if not records:
-            raise NoPairs("pairs file is empty")
         enc, dec, log = pipeline.train(seq_a, seq_b, [(r.i, r.j) for r in records], cfg)
 
     _atomic_replace(lambda tmp: mdl.save_checkpoint(tmp, enc, dec), out)
@@ -420,8 +422,6 @@ def cmd_evaluate(args) -> int:
     criterion = register.criterion_by_name(args.criterion)
     seq_a, seq_b = _load_datasets(args)
     pairs = _read_pairs(args, seq_a, seq_b)
-    if not pairs:
-        raise EmptyResultGuard("pairs file is empty")
     enc = None
     if not args.oracle_gt:
         enc, _ = mdl.load_checkpoint(_check_input(args.checkpoint, "checkpoint"))

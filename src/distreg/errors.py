@@ -98,7 +98,7 @@ class NoNeighborFrames(DistregError):
 
 
 class NoPairs(DistregError):
-    """Training requires a non-empty distilled pair list."""
+    """Training or evaluation was given no pairs."""
 
     exit_code = 4
 

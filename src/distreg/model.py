@@ -431,7 +431,8 @@ def backward(
     ``d_features`` is the loss gradient reaching the features directly
     (metric loss); ``d_offsets`` the gradient reaching the decoder output
     (reconstruction + regularization). The decoder's feature gradient is
-    accumulated before the encoder backward pass.
+    accumulated before the encoder backward pass, and ``dec_cache`` is
+    emptied in between to free the decoder's activations first.
     """
     if enc_cache is None:
         raise MissingCache("backward requires the encoder forward cache")
@@ -441,19 +442,14 @@ def backward(
         if dec_params is None or dec_cache is None:
             raise MissingCache("offset gradients supplied without a decoder cache")
         dec_grads, dfm = decoder_backward(dec_params, dec_cache, d_offsets)
+        dec_cache.inputs.clear()
+        dec_cache.pool = None
         grads.update(dec_grads)
         df = df + dfm
     elif dec_params is not None:
         grads.update({name: np.zeros_like(t) for name, t in dec_params.named_tensors()})
     grads.update(encoder_backward(enc_params, enc_cache, df))
     return grads
-
-
-def add_gradients(a: Gradients, b: Gradients) -> Gradients:
-    out = dict(a)
-    for name, g in b.items():
-        out[name] = out[name] + g if name in out else g
-    return out
 
 
 def save_checkpoint(path, enc: EncoderParams, dec: DecoderParams) -> None:

@@ -9,6 +9,9 @@ bit-identical training logs and parameters on one numpy/BLAS build at one
 BLAS thread count; another thread count rounds the matrix products
 differently, and the trained parameters drift apart over the epochs.
 
+Gradients: ``model.backward`` is a training step's one composition of the
+decoder and encoder backward passes, called once per cloud.
+
 Threads: a training step maps its two clouds' halves, ``register_pair`` its
 two encoder passes and ``gt_correspondences`` its two nearest-point queries,
 with ``geometry.ordered_map``.
@@ -240,27 +243,23 @@ def pair_loss_and_grads(
     (cd_a, reg_a, grads_a), (cd_b, reg_b, grads_b) = ordered_map(
         lambda half: _cloud_loss_and_grads(*half, enc, dec, cfg),
         ((cloud_a, fa, apc_a, cache_a, d_fa), (cloud_b, fb, apc_b, cache_b, d_fb)))
-    grads = mdl.add_gradients(mdl.add_gradients({}, grads_a), grads_b)
+    grads = {name: g + grads_b[name] for name, g in grads_a.items()}
     report = total_loss(l_ml, 0.0 + cd_a + cd_b, 0.0 + reg_a + reg_b, cfg)
     return report, grads
 
 
 def _cloud_loss_and_grads(cloud, feats, apc, cache, d_f, enc, dec, cfg: LossConfig):
     """One cloud's chamfer and L2 terms (zero without the decoder) and its
-    gradients, given its metric-loss gradient ``d_f``. Both pooled caches
-    hold only their max-pool winner rows, and the decoder's goes before the
-    encoder backward runs, which keeps each thread's peak down; the keys
-    are in ``mdl.backward``'s order."""
+    gradients from ``mdl.backward``, given its metric-loss gradient ``d_f``.
+    That frees the decoder's cache before the encoder backward runs, which
+    keeps each thread's peak down."""
     if not (cfg.lambda1 > 0 or cfg.lambda2 > 0):
         return 0.0, 0.0, mdl.backward(enc, cache, d_f, dec)
     offsets, dec_cache = mdl.decoder_forward_cached(feats, dec, cache.pool.idx)
     cd, d_recon = chamfer(mdl.fuse(cloud, offsets), apc)
     reg, d_reg = l2_offset_reg(offsets)
     d_off = cfg.lambda1 * d_recon.reshape(offsets.shape) + cfg.lambda2 * d_reg
-    grads, d_fm = mdl.decoder_backward(dec, dec_cache, d_off)
-    del dec_cache
-    grads.update(mdl.encoder_backward(enc, cache, d_f + d_fm))
-    return cd, reg, grads
+    return cd, reg, mdl.backward(enc, cache, d_f, dec, dec_cache, d_off)
 
 
 # ---------------------------------------------------------------------------

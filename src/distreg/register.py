@@ -471,7 +471,8 @@ def ransac_register(pairs, cloud_a, cloud_b, cfg: RansacConfig) -> RansacEstimat
     products decide every entry farther than a rigorous rounding bound from
     the threshold, and a row with an entry inside that band is rescored
     with the exact scorer ``_squared_residuals``. Every count, and so the
-    estimate, is the exact scorer's whatever the BLAS rounds.
+    estimate, is the exact scorer's whatever the BLAS rounds; so are the
+    refit's inlier set, the one the winner was counted with, and the count.
 
     Over the 8 register-bins pairs (20 to 331 matches, 50,000 samples; the
     two smallest take the distinct path) RANSAC took 341 ms on one worker
@@ -531,23 +532,19 @@ def ransac_register(pairs, cloud_a, cloud_b, cfg: RansacConfig) -> RansacEstimat
         # every sample degenerate (e.g. all correspondences coincident)
         raise TooFewCorrespondences("no non-degenerate minimal sample found")
     # the fit is elementwise, so the winning sample alone refits to the bytes
-    # it was scored with
+    # it was scored with, and the exact scorer gives back its inlier set
     winner = samples[best : best + 1]
     R, t, _ = _batched_kabsch(src[winner], dst[winner])
-    best_R, best_t = R[0], t[0]
-
-    resid = np.linalg.norm(src @ best_R.T + best_t - dst, axis=1)
-    inliers = resid < cfg.inlier_threshold
-    transform = RigidTransform(best_R, best_t)
+    inliers = _squared_residuals(R, t, corr.src_t, corr.dst_t)[0] < thr2
+    transform = RigidTransform(R[0], t[0])
     if np.count_nonzero(inliers) >= 3:
         try:
             transform = kabsch_points(src[inliers], dst[inliers])
         except DegenerateGeometry:
             pass  # keep the raw hypothesis when the inlier set is rank-deficient
-    final_resid = np.linalg.norm(
-        src @ transform.rotation.T + transform.translation - dst, axis=1
-    )
-    return RansacEstimate(transform, int(np.count_nonzero(final_resid < cfg.inlier_threshold)))
+    final = _squared_residuals(transform.rotation[None], transform.translation[None],
+                               corr.src_t, corr.dst_t)[0]
+    return RansacEstimate(transform, int(np.count_nonzero(final < thr2)))
 
 
 def evaluate(

@@ -9,7 +9,7 @@ import pytest
 
 from distreg import cli, dataio, model as mdl, pipeline, register as reg, simulate
 from distreg.aggregate import ApgConfig
-from distreg.errors import DistregError, MalformedFile
+from distreg.errors import DistregError, MalformedFile, NoPairs
 from distreg.losses import LossConfig
 
 
@@ -421,6 +421,26 @@ class TestTrain:
         assert code == 0
         assert (tmp_path / "cur.ckpt").exists()
 
+    def test_curriculum_log_numbers_steps_on_across_phases(self, dataset, tmp_path,
+                                                           monkeypatch):
+        phases, train = [], pipeline.train
+
+        def counted(*args, **kwargs):
+            phases.append(len(args[2]))
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train", counted)
+        log = tmp_path / "cur.log"
+        assert run(["train", "--dataset", dataset, "--curriculum",
+                    "--curriculum-d2", 30, "--out", tmp_path / "cur.ckpt", "--log", log,
+                    "--epochs", 1, "--k", 6, "--feature-dim", 12, "--phi", 2,
+                    "--decoder-hidden", "16,8", "--psi", 2, "--alpha", 3,
+                    "--scope-radius", 22, "--input-voxel-size", 0.5]) == 0
+        steps = [int(row.split(",")[1]) for row in log.read_text().splitlines()
+                 if row.startswith("step,")]
+        assert len(phases) == 2 and len(steps) == sum(phases)
+        assert steps == list(range(len(steps)))
+
 
 class TestEvaluate:
     def test_oracle_gt_full_recall(self, dataset, pairs_file, tmp_path, capsys):
@@ -579,11 +599,22 @@ class TestEvaluate:
         assert len(err) == 1 and err[0] == "error: operation requires a non-empty cloud"
         assert not out.exists()
 
-    def test_empty_pairs_exit_4(self, dataset, tmp_path):
+    def test_empty_pairs_exit_4(self, dataset, tmp_path, capsys):
+        # train and evaluate raise the same error for a file with no pairs
         empty = tmp_path / "empty.csv"
         empty.write_text("i,j,distance_m,overlap\n")
-        assert run(["evaluate", "--dataset", dataset, "--pairs", empty,
-                    "--oracle-gt", "--out", tmp_path / "r.csv"]) == 4
+        errors = []
+        for argv in (["train", "--dataset", dataset, "--pairs", empty, "--out", tmp_path / "m"],
+                     ["evaluate", "--dataset", dataset, "--pairs", empty, "--oracle-gt",
+                      "--out", tmp_path / "r.csv"]):
+            capsys.readouterr()
+            assert run(argv) == 4
+            errors.append(capsys.readouterr().err.splitlines())
+            args = cli.build_parser()[0].parse_args([str(a) for a in argv])
+            with pytest.raises(NoPairs):
+                args.func(args)
+        assert errors == [["error: pairs file is empty"]] * 2
+        assert not (tmp_path / "m").exists() and not (tmp_path / "r.csv").exists()
 
 
 class TestMalformedInput:

@@ -286,6 +286,7 @@ class TestRelativeGt:
         assert pipeline.relative_gt is dio.relative_gt
 
 
+@pytest.mark.threads
 class TestPooledDistill:
     """The pool's records equal the serial loop's, whatever the CPU count."""
 

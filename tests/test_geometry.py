@@ -119,6 +119,7 @@ class TestKabsch:
             g.kabsch_points(same, same)
 
 
+@pytest.mark.threads
 class TestOrderedMap:
     """``[fn(x) for x in items]`` on the caller plus at most min(cpus, n) - 1
     new threads."""

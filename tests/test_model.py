@@ -151,6 +151,7 @@ class TestEncoderForward:
         assert exponent < 1.3, f"encoder scaling exponent {exponent:.2f}"
 
 
+@pytest.mark.threads
 class TestPooledBlock:
     def test_mlp_forward_leaves_input_unchanged(self, rng):
         enc, _ = tiny_params(randomize=2)
@@ -266,6 +267,7 @@ def monotone(layers):
 CASES = ["generic", "ties", "dead-channels", "k1", "one-neighbor-wins"]
 
 
+@pytest.mark.threads
 class TestWinnerRowBackward:
     @pytest.mark.parametrize("case", CASES)
     def test_encoder_gradients_match_dense(self, rng, monkeypatch, case):
@@ -449,6 +451,25 @@ class TestBackward:
         grads = mdl.backward(enc, ec, np.zeros_like(f), dec, dc, np.zeros_like(o))
         for name, g in grads.items():
             assert not g.any(), name
+
+    @pytest.mark.parametrize("variant", ["asymmetric", "symmetric"])
+    def test_decoder_cache_emptied_before_encoder_backward(self, rng, monkeypatch, variant):
+        enc, dec = tiny_params(randomize=7, cfg=replace(TINY, decoder_variant=variant))
+        cloud = rng.uniform(-2, 2, (20, 3))
+        f, ec = mdl.encoder_forward_cached(cloud, enc)
+        o, dc = mdl.decoder_forward_cached(f, dec, ec.pool.idx)
+        assert dc.inputs and (dc.pool is not None) == (variant == "symmetric")
+        seen = []
+        encoder_backward = mdl.encoder_backward
+
+        def spy(*args):
+            seen.append((list(dc.inputs), dc.pool))
+            return encoder_backward(*args)
+
+        monkeypatch.setattr(mdl, "encoder_backward", spy)
+        mdl.backward(enc, ec, np.ones_like(f), dec, dc, np.ones_like(o))
+        assert seen == [([], None)]
+        assert dc.inputs == [] and dc.pool is None
 
     def test_linear_quadratic_closed_form(self):
         # single linear decoder layer, quadratic loss: gradient = x^T (2(xW^T-y))

@@ -177,7 +177,7 @@ def serial_pair_loss_and_grads(cloud_a, cloud_b, apc_a, apc_b, gt_pairs, enc, de
     run_decoder = cfg.lambda1 > 0 or cfg.lambda2 > 0
     l_cd = 0.0
     l_l2 = 0.0
-    grads = {}
+    halves = []
     for cloud, feats, apc, cache, d_f in ((cloud_a, fa, apc_a, cache_a, d_fa),
                                           (cloud_b, fb, apc_b, cache_b, d_fb)):
         dec_cache = d_off = None
@@ -191,8 +191,9 @@ def serial_pair_loss_and_grads(cloud_a, cloud_b, apc_a, apc_b, gt_pairs, enc, de
             l_cd += cd
             l_l2 += reg
             d_off = cfg.lambda1 * d_recon.reshape(offsets.shape) + cfg.lambda2 * d_reg
-        grads = mdl.add_gradients(grads, mdl.backward(enc, cache, d_f, dec, dec_cache, d_off))
-    return total_loss(l_ml, l_cd, l_l2, cfg), grads
+        halves.append(mdl.backward(enc, cache, d_f, dec, dec_cache, d_off))
+    grads_a, grads_b = halves
+    return total_loss(l_ml, l_cd, l_l2, cfg), {n: g + grads_b[n] for n, g in grads_a.items()}
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +218,7 @@ def generic_params(variant):
     return enc, dec
 
 
+@pytest.mark.threads
 class TestTwoThreadStep:
     @pytest.mark.parametrize("lambdas", [(0.2, 0.002), (0.0, 0.0)], ids=["decoder", "no-decoder"])
     @pytest.mark.parametrize("variant", ["asymmetric", "symmetric"])
@@ -231,6 +233,29 @@ class TestTwoThreadStep:
         assert list(grads) == list(ref_grads)
         assert all(grads[n].tobytes() == ref_grads[n].tobytes() for n in grads)
         assert (report.l_cd > 0) == (lambdas[0] > 0)
+
+    @pytest.mark.parametrize("lambdas", [(0.2, 0.002), (0.0, 0.0)], ids=["decoder", "no-decoder"])
+    @pytest.mark.parametrize("variant", ["asymmetric", "symmetric"])
+    def test_one_backward_per_cloud(self, step_inputs, monkeypatch, variant, lambdas):
+        enc, dec = generic_params(variant)
+        calls = {"backward": [], "decoder_backward": [], "encoder_backward": []}
+
+        def spy(name):
+            fn = getattr(mdl, name)
+
+            def counted(*args):
+                calls[name].append(args[1])  # the cache each pass runs on
+                return fn(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(mdl, name, spy(name))
+        pl.pair_loss_and_grads(*step_inputs, enc, dec, LossConfig(*lambdas),
+                               rng=np.random.default_rng(0))
+        assert len(calls["backward"]) == 2
+        assert calls["backward"][0] is not calls["backward"][1]
+        assert len(calls["encoder_backward"]) == 2
+        assert len(calls["decoder_backward"]) == (2 if lambdas[0] > 0 else 0)
 
     @pytest.mark.parametrize("variant", ["asymmetric", "symmetric"])
     def test_kd_trees_built_per_step(self, step_inputs, monkeypatch, variant):

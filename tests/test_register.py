@@ -235,6 +235,7 @@ map_shapes = st.one_of(
 )
 
 
+@pytest.mark.threads
 class TestProductMatcher:
     """_nearest_rows returns cKDTree's nearest row for every query row, and
     match_features the kd-tree matcher's pairs, byte for byte."""
@@ -509,15 +510,16 @@ def serial_ransac(pairs, a, b, cfg):
             best_R, best_t = R[bi], t[bi]
     if best_count < 0:
         raise TooFewCorrespondences("no non-degenerate minimal sample found")
-    inliers = np.linalg.norm(src @ best_R.T + best_t - dst, axis=1) < cfg.inlier_threshold
+    inliers = reg._squared_residuals(best_R[None], best_t[None], src_t, dst_t)[0] < thr2
     transform = RigidTransform(best_R, best_t)
     if np.count_nonzero(inliers) >= 3:
         try:
             transform = kabsch_points(src[inliers], dst[inliers])
         except DegenerateGeometry:
             pass
-    resid = np.linalg.norm(src @ transform.rotation.T + transform.translation - dst, axis=1)
-    return reg.RansacEstimate(transform, int(np.count_nonzero(resid < cfg.inlier_threshold)))
+    d2 = reg._squared_residuals(transform.rotation[None], transform.translation[None],
+                                src_t, dst_t)[0]
+    return reg.RansacEstimate(transform, int(np.count_nonzero(d2 < thr2)))
 
 
 def estimate_bytes(est):
@@ -543,6 +545,7 @@ def no_refit(src, dst):  # keeps ransac_register's raw winner
     raise DegenerateGeometry("refit disabled")
 
 
+@pytest.mark.threads
 class TestPooledRansac:
     """The pool's estimate equals the serial loop's, whatever the CPU count."""
 
@@ -631,6 +634,7 @@ def hypothesis_samples(samples, n):
     return np.unique(codes, return_index=True)[1]
 
 
+@pytest.mark.threads
 class TestProductScorer:
     """_inlier_counts gives every hypothesis the count of
     _squared_residuals < thr2, and ransac_register the estimate bytes of
@@ -717,6 +721,31 @@ class TestProductScorer:
         self.assert_counts_exact(recorded, a, b, cfg)
         assert estimate_bytes(est) == estimate_bytes(serial_ransac(pairs, a, b, cfg))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_boundary_scene_refits_the_winners_scored_inliers(self, monkeypatch, seed):
+        # the boundary half lies within rounding of the threshold, where a
+        # residual formula other than the scorer's picks another set
+        a, b = boundary_scene(seed)
+        cfg = reg.RansacConfig(iterations=3000, inlier_threshold=0.3, seed=seed)
+        samples = np.random.default_rng(seed).integers(0, len(a), (cfg.iterations, 3))
+        R, t, degenerate = reg._batched_kabsch(a[samples], b[samples])
+        counts = np.where(degenerate, -1, fused_counts(R, t, a, b, 0.3))
+        best = int(np.argmax(counts))
+        d2 = reg._squared_residuals(R[best : best + 1], t[best : best + 1],
+                                    a.T.copy(), b.T.copy())[0]
+        scored = d2 < reg._squared_threshold(0.3)
+        refit_sets, refit = [], reg.kabsch_points
+
+        def spy(src, dst):
+            refit_sets.append(src)
+            return refit(src, dst)
+
+        monkeypatch.setattr(reg, "kabsch_points", spy)
+        reg.ransac_register(identity_corr(len(a)), a, b, cfg)
+        assert len(refit_sets) == 1
+        assert len(refit_sets[0]) == counts[best] == np.count_nonzero(scored)
+        assert refit_sets[0].tobytes() == a[scored].tobytes()
+
     def test_huge_margin_scores_every_row_exactly(self, monkeypatch, recorded):
         a, b = ransac_scene(5, 150)
         cfg = reg.RansacConfig(iterations=5000, inlier_threshold=0.3, seed=5)
@@ -726,7 +755,8 @@ class TestProductScorer:
         monkeypatch.setattr(reg, "_squared_residuals",
                             lambda R, *args: rescored.append(len(R)) or score(R, *args))
         est = reg.ransac_register(identity_corr(150), a, b, cfg)
-        assert sum(rescored) == cfg.iterations
+        # every hypothesis, then the winner's and the refit's one row each
+        assert sum(rescored) == cfg.iterations + 2
         self.assert_counts_exact(recorded, a, b, cfg)
         assert estimate_bytes(est) == estimate_bytes(serial_ransac(identity_corr(150), a, b, cfg))
 
@@ -787,6 +817,7 @@ class TestProductScorer:
                                       fused_counts(R, t, src, dst, thr))
 
 
+@pytest.mark.threads
 class TestDistinctSamples:
     """Where the n³ ordered triples are no more than the samples,
     ransac_register fits and scores each distinct sampled triple once and
