@@ -75,6 +75,11 @@ def l2_offset_reg(offsets) -> tuple[float, np.ndarray]:
     return value, (2.0 / count) * off
 
 
+# anchors per block of the hardest-negative search: 64 rows of 4,096
+# candidates are 2 MB of float64
+_MINE_ROWS = 64
+
+
 def _mine_hardest(
     anchors: np.ndarray,
     anchor_ids: np.ndarray,
@@ -86,22 +91,29 @@ def _mine_hardest(
     candidate. Row p is the anchor side of the positive pair (anchor_ids[p],
     partner_ids[p]); a candidate is corresponding for every row sharing that
     anchor id. ``candidate_ids`` must be sorted and unique. Anchors with no
-    admissible candidate are masked out."""
-    d2 = (
-        np.sum(anchors * anchors, axis=1)[:, None]
-        + np.sum(candidates * candidates, axis=1)[None, :]
-        - 2.0 * anchors @ candidates.T
-    )
-    d = np.sqrt(np.maximum(d2, 0.0))
+    admissible candidate are masked out.
+
+    The (P, C) product is formed once; the distances, the mask and the
+    argmin then run in place on it, ``_MINE_ROWS`` anchors at a time."""
+    dist = 2.0 * anchors @ candidates.T
+    a2 = np.sum(anchors * anchors, axis=1)
+    c2 = np.sum(candidates * candidates, axis=1)
     # one row per distinct anchor id, marking its partners among the candidates
     _, group = np.unique(anchor_ids, return_inverse=True)
     col = np.searchsorted(candidate_ids, partner_ids)
     present = candidate_ids[np.minimum(col, len(candidate_ids) - 1)] == partner_ids
     blocked = np.zeros((group.max() + 1, len(candidate_ids)), dtype=bool)
     blocked[group[present], col[present]] = True
-    d[blocked[group]] = np.inf
-    hardest_col = np.argmin(d, axis=1)
-    hardest = d[np.arange(d.shape[0]), hardest_col]
+    hardest_col = np.empty(dist.shape[0], dtype=np.intp)
+    for start in range(0, dist.shape[0], _MINE_ROWS):
+        rows = slice(start, start + _MINE_ROWS)
+        d = dist[rows]
+        np.subtract(a2[rows, None] + c2[None, :], d, out=d)
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        d[blocked[group[rows]]] = np.inf
+        hardest_col[rows] = np.argmin(d, axis=1)
+    hardest = dist[np.arange(dist.shape[0]), hardest_col]
     ok = np.isfinite(hardest)
     return hardest, hardest_col, ok
 

@@ -155,6 +155,14 @@ def _relu(x: np.ndarray) -> np.ndarray:
 # the training cache.
 _BLOCK_ELEMENTS = 250_000
 
+# rows per block of every training backward, and of the asymmetric decoder's
+# hidden layers. A weight gradient summed over at most 256 rows per product
+# has the same bytes at one and two OpenBLAS threads; over 1,024 rows it did
+# not (2-vCPU Xeon, N = 1,436, k = 24). Near-equal blocks leave no short last
+# block: products of 1 to 3 rows take other BLAS kernels, so their rows would
+# differ from the same rows of one taller product.
+_BACKWARD_ROWS = 256
+
 
 def _mlp_forward(x: np.ndarray, layers) -> tuple[np.ndarray, list[np.ndarray]]:
     """MLP over the last axis of ``x`` with flat (w, b, w, b, ...) layers and
@@ -170,22 +178,32 @@ def _mlp_forward(x: np.ndarray, layers) -> tuple[np.ndarray, list[np.ndarray]]:
     return x, inputs
 
 
-def _mlp_backward(layers, inputs, d: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Gradients of sum(d * output) for every tensor of ``layers`` (same
-    order) and for the first layer's output; a caller that needs the MLP's
-    input gradient multiplies the latter by ``layers[0]``. Only the
-    weight-gradient products and the bias sums flatten the leading axes;
-    ``d @ w`` keeps its shape."""
-    grads: list = [None] * len(layers)
+def _row_blocks(n: int) -> list[slice]:
+    """``ceil(n / _BACKWARD_ROWS)`` row slices of near-equal size covering
+    ``range(n)`` (one empty slice for n = 0), a fixed function of ``n``."""
+    m = max(1, -(-n // _BACKWARD_ROWS))
+    bounds = [i * n // m for i in range(m + 1)]
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _mlp_backward(layers, inputs, d: np.ndarray, grads: list) -> np.ndarray:
+    """One row block of an MLP's backward pass: adds the block's gradients of
+    sum(d * output) to ``grads`` (one array per tensor of ``layers``, same
+    order) and returns its gradient for the first layer's output; a caller
+    that needs the MLP's input gradient multiplies it by ``layers[0]``.
+    ``inputs`` are the block's layer inputs, (rows, width) each.
+
+    Callers run it over ``_row_blocks`` of their rows, so each weight
+    gradient is a sum of products over at most ``_BACKWARD_ROWS`` rows,
+    taken in block order, and no temporary is taller than a block."""
     for i in range(len(layers) - 2, -1, -2):
         x = inputs[i // 2]
-        flat = d.reshape(-1, d.shape[-1])
-        grads[i] = flat.T @ x.reshape(-1, x.shape[-1])
-        grads[i + 1] = flat.sum(axis=0)
+        grads[i] += d.T @ x
+        grads[i + 1] += d.sum(axis=0)
         if i:
             d = d @ layers[i]
             d *= x > 0
-    return grads, d
+    return d
 
 
 @dataclass
@@ -223,6 +241,9 @@ def _pool_forward(idx, gather, own, layers, keep: bool):
         slot = np.empty(own.shape, dtype=np.intp)
         kept_inputs, kept_ids, n_kept = [], [], 0
     block = max(1, _BLOCK_ELEMENTS // (k * own.shape[1]))
+    if keep:
+        # k - j for neighbor j, in the narrowest unsigned type that holds k
+        rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
     for start in range(0, n, block):
         rows = slice(start, start + block)
         nbrs = idx[rows]
@@ -230,9 +251,13 @@ def _pool_forward(idx, gather, own, layers, keep: bool):
         np.maximum(h2v, 0.0, out=h2v)
         pooled[rows] = h2v.max(axis=1)
         if keep:
-            # the first neighbor holding each channel's max, from one pass
-            # over a boolean array
-            first = (h2v == pooled[rows, None, :]).argmax(axis=1)
+            # the first neighbor holding each channel's max: the largest
+            # rank among the neighbors equal to it, from one pass over the
+            # equality mask read as bytes. A NaN max equals no neighbor and,
+            # as with argmax, goes to neighbor 0
+            top = (h2v == pooled[rows, None, :]).view(np.uint8) * rank
+            first = k - top.max(axis=1).astype(np.intp)
+            first %= k
             first += k * np.arange(first.shape[0])[:, None]  # row of the block's (B·k) rows
             wins = np.zeros(nbrs.size, dtype=bool)
             wins[first] = True
@@ -251,21 +276,41 @@ def _pool_forward(idx, gather, own, layers, keep: bool):
     return out, cache
 
 
-def _pool_backward(layers, cache: PoolCache, d: np.ndarray):
+def _pool_backward(layers, cache: PoolCache, d: np.ndarray, d_source=None):
     """Gradients of sum(d * out) for the block's eight tensors (in layer
-    order), for the winner rows' per-neighbor first-layer outputs (R, h1)
-    and for ``own``."""
-    post_grads, dz = _mlp_backward(layers[4:], cache.post_inputs, d)
-    dz = dz @ layers[4]
+    order) and for ``own``. With ``d_source``, the gradient of the rows that
+    ``gather`` read (the symmetric decoder's features), each winner row's
+    input gradient is added to its row ``win_ids`` there.
+
+    Both MLPs run in ``_row_blocks``: the post-pool one over the N points,
+    the per-neighbor one over the R winner rows, whose max-pool gradient
+    dz·(z > 0) is routed one block at a time."""
+    pre, post = layers[:4], layers[4:]
+    grads = [np.zeros(t.shape) for t in layers]
     z = cache.post_inputs[0]
-    h2 = z.shape[1] // 2
+    n, h2 = z.shape[0], z.shape[1] // 2
+    dz = np.empty(z.shape)
+    for rows in _row_blocks(n):
+        dz[rows] = _mlp_backward(post, [x[rows] for x in cache.post_inputs], d[rows],
+                                 grads[4:]) @ post[0]
     # max-pool: route each channel's gradient to its winner row, if that
-    # row's activation (the pooled value) is positive. A winner row belongs
-    # to one point, so no (row, channel) is written twice
-    da2 = np.zeros((cache.win_ids.size, h2))
-    da2[cache.slot, np.arange(h2)] = dz[:, :h2] * (z[:, :h2] > 0)
-    pre_grads, d_nbr = _mlp_backward(layers[:4], cache.win_inputs, da2)
-    return pre_grads + post_grads, d_nbr, dz[:, h2:]
+    # row's activation (the pooled value) is positive. A point's winner rows
+    # are contiguous and start at its least slot, so a block of winner rows
+    # is fed by a contiguous run of points, and no (row, channel) is written
+    # twice
+    routed = dz[:, :h2] * (z[:, :h2] > 0)
+    starts = cache.slot.min(axis=1)
+    for rows in _row_blocks(cache.win_ids.size):
+        points = slice(np.searchsorted(starts, rows.start, side="right") - 1,
+                       np.searchsorted(starts, rows.stop))
+        at = cache.slot[points] - rows.start
+        point, channel = np.nonzero((at >= 0) & (at < rows.stop - rows.start))
+        da2 = np.zeros((rows.stop - rows.start, h2))
+        da2[at[point, channel], channel] = routed[points][point, channel]
+        d_nbr = _mlp_backward(pre, [x[rows] for x in cache.win_inputs], da2, grads[:4])
+        if d_source is not None:
+            np.add.at(d_source, cache.win_ids[rows], d_nbr @ pre[0])
+    return grads, dz[:, h2:]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +371,7 @@ def encoder_backward(params: EncoderParams, cache: EncoderCache, d_features: np.
         du = (df - f * np.sum(f * df, axis=1, keepdims=True)) / cache.norms[:, None]
     else:
         du = df
-    grads, _, down = _pool_backward(params.layers, cache.pool, du)
+    grads, down = _pool_backward(params.layers, cache.pool, du)
 
     # own-path (zero input): contributes to b1, w2, b2 only
     _, b1, w2, _ = params.layers[:4]
@@ -343,15 +388,35 @@ def encoder_backward(params: EncoderParams, cache: EncoderCache, d_features: np.
 
 @dataclass
 class DecoderCache:
-    inputs: list[np.ndarray]  # layer inputs of the row-wise MLP: the asymmetric decoder,
-                              # or the symmetric decoder's own path
+    """What ``decoder_backward`` needs. The asymmetric decoder keeps only its
+    features and its output layer's input. Its hidden layers run in
+    ``_row_blocks``, and the backward recomputes the activations in between
+    per block, from the same blocks the forward ran, so they have the same
+    bytes: at the default (512, 256) widths that is one (rows, l) @ (l, 512)
+    product per block instead of an (N, 512) array."""
+
+    inputs: list[np.ndarray]  # asymmetric: features (N, l) and output-layer input;
+                              # symmetric: the own path's layer inputs
     pool: PoolCache | None    # the symmetric decoder's pooled block
+
+
+def _asymmetric_inputs(layers, fm, last, rows: slice) -> list[np.ndarray]:
+    """The asymmetric decoder's layer inputs on a row block: the kept
+    features and output-layer input, with the hidden activations in between
+    recomputed as ``decoder_forward_cached`` computed them."""
+    if len(layers) == 2:
+        return [last[rows]]
+    x, inputs = _mlp_forward(fm[rows], layers[:-4])
+    if inputs:  # x is then a hidden layer's own pre-activation
+        np.maximum(x, 0.0, out=x)
+    return [*inputs, x, last[rows]]
 
 
 def decoder_forward_cached(fm, params: DecoderParams, idx=None) -> tuple[np.ndarray, DecoderCache]:
     """Offsets (N, phi, 3) and the cache for ``decoder_backward`` (training
-    only). The asymmetric variant is a row-wise MLP; the symmetric one is the
-    pooled block over the encoder's (N, k) neighbor indices of the same cloud
+    only). The asymmetric variant is a row-wise MLP; its output layer runs
+    once over all rows. The symmetric one is the pooled block over the
+    encoder's (N, k) neighbor indices of the same cloud
     (``EncoderCache.pool.idx``), with each point's own feature through the
     per-neighbor stage as the own path."""
     fm = np.asarray(fm, dtype=np.float64)
@@ -360,7 +425,15 @@ def decoder_forward_cached(fm, params: DecoderParams, idx=None) -> tuple[np.ndar
         raise ShapeMismatch(f"feature map has shape {fm.shape}, expected (N, {width})")
     pool = None
     if params.variant == "asymmetric":
-        out, inputs = _mlp_forward(fm, params.layers)
+        *hidden, w, b = params.layers
+        last = fm
+        if hidden:
+            last = np.empty((fm.shape[0], w.shape[1]))
+            for rows in _row_blocks(fm.shape[0]):
+                np.maximum(_mlp_forward(fm[rows], hidden)[0], 0.0, out=last[rows])
+        out = last @ w.T
+        out += b
+        inputs = [fm, last]
     else:
         if idx is None or idx.shape[0] != fm.shape[0]:
             raise ShapeMismatch("symmetric decoder requires the encoder's neighbor "
@@ -374,27 +447,34 @@ def decoder_forward_cached(fm, params: DecoderParams, idx=None) -> tuple[np.ndar
 def decoder_backward(
     params: DecoderParams, cache: DecoderCache, d_offsets: np.ndarray
 ) -> tuple[Gradients, np.ndarray]:
-    """Gradients w.r.t. decoder tensors plus the feature-map gradient.
+    """Gradients w.r.t. decoder tensors plus the feature-map gradient, over
+    ``_row_blocks`` of the N rows (and of the winner rows, symmetric).
 
     The key order is the order in which ``pipeline.clip_gradients`` sums
     the global norm, so it is part of every trained checkpoint's bytes."""
     if cache is None:
         raise MissingCache("decoder backward requires the forward cache")
-    dout = np.asarray(d_offsets, dtype=np.float64).reshape(cache.inputs[0].shape[0], -1)
+    layers = params.layers
+    n = cache.inputs[0].shape[0]
+    dout = np.asarray(d_offsets, dtype=np.float64).reshape(n, -1)
 
     if params.variant == "asymmetric":
-        grads, da1 = _mlp_backward(params.layers, cache.inputs, dout)
+        fm, last = cache.inputs
+        grads = [np.zeros(t.shape) for t in layers]
+        dfm = np.empty(fm.shape)
+        for rows in _row_blocks(n):
+            inputs = _asymmetric_inputs(layers, fm, last, rows)
+            dfm[rows] = _mlp_backward(layers, inputs, dout[rows], grads) @ layers[0]
         last_first = [j for i in range(len(grads) - 2, -1, -2) for j in (i, i + 1)]
-        return {f"dec.t{j}": grads[j] for j in last_first}, da1 @ params.layers[0]
+        return {f"dec.t{j}": grads[j] for j in last_first}, dfm
 
-    grads, da1_nbr, down = _pool_backward(params.layers, cache.pool, dout)
-    own = cache.pool.post_inputs[0][:, down.shape[1]:]
-    own_grads, da1_own = _mlp_backward(params.layers[:4], cache.inputs, down * (own > 0))
-    for j, g in enumerate(own_grads):
-        grads[j] += g
     dfm = np.zeros(cache.inputs[0].shape)
-    np.add.at(dfm, cache.pool.win_ids, da1_nbr @ params.layers[0])
-    dfm += da1_own @ params.layers[0]
+    grads, down = _pool_backward(layers, cache.pool, dout, dfm)
+    own = cache.pool.post_inputs[0][:, down.shape[1]:]
+    d_own = down * (own > 0)
+    for rows in _row_blocks(n):
+        dfm[rows] += _mlp_backward(layers[:4], [x[rows] for x in cache.inputs], d_own[rows],
+                                   grads[:4]) @ layers[0]
     return {f"dec.t{j}": g for j, g in enumerate(grads)}, dfm
 
 

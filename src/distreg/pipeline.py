@@ -194,8 +194,10 @@ def reachable_target(apc, cloud, reach: float = RECON_REACH) -> Points:
 
 def clip_gradients(grads: mdl.Gradients, max_norm: float = GRAD_CLIP) -> mdl.Gradients:
     """Scale every tensor by one factor so that the global L2 norm is at
-    most ``max_norm``."""
-    norm = float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values())))
+    most ``max_norm``. Each tensor's squares are summed by numpy's own
+    reduction, whose order does not depend on the BLAS thread count, as
+    ``np.vdot``'s does."""
+    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
     if norm <= max_norm:
         return grads
     scale = max_norm / norm

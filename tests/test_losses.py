@@ -171,6 +171,27 @@ def set_dict_miner(anchors, anchor_ids, partner_ids, candidates, candidate_ids):
     return hardest, hardest_col, ok
 
 
+def dense_miner(anchors, anchor_ids, partner_ids, candidates, candidate_ids):
+    """``lo._mine_hardest`` as one (P, C) array at every stage: the distance
+    formula, the partner mask and the argmin over all anchors at once. Kept
+    as the reference for the blocked in-place miner's bytes."""
+    d2 = (
+        np.sum(anchors * anchors, axis=1)[:, None]
+        + np.sum(candidates * candidates, axis=1)[None, :]
+        - 2.0 * anchors @ candidates.T
+    )
+    d = np.sqrt(np.maximum(d2, 0.0))
+    _, group = np.unique(anchor_ids, return_inverse=True)
+    col = np.searchsorted(candidate_ids, partner_ids)
+    present = candidate_ids[np.minimum(col, len(candidate_ids) - 1)] == partner_ids
+    blocked = np.zeros((group.max() + 1, len(candidate_ids)), dtype=bool)
+    blocked[group[present], col[present]] = True
+    d[blocked[group]] = np.inf
+    hardest_col = np.argmin(d, axis=1)
+    hardest = d[np.arange(d.shape[0]), hardest_col]
+    return hardest, hardest_col, np.isfinite(hardest)
+
+
 @st.composite
 def _contrastive_cases(draw):
     """Small feature maps with positive pairs whose anchor and partner ids
@@ -288,6 +309,31 @@ class TestHardestContrastive:
             ref = lo.hardest_contrastive(fa, fb, pairs, self.CFG)
         assert got[0] == ref[0]
         assert got[1].tobytes() == ref[1].tobytes() and got[2].tobytes() == ref[2].tobytes()
+
+    @pytest.mark.parametrize("mine_rows", [64, 7])
+    def test_blocked_miner_matches_dense_formula_bytes(self, rng, monkeypatch, mine_rows):
+        """Several anchor blocks, with partners among the candidates,
+        repeated anchor ids, partners outside the candidates, near-duplicate
+        features (whose squared distance is all rounding) and one anchor id
+        whose every candidate is a partner."""
+        monkeypatch.setattr(lo, "_MINE_ROWS", mine_rows)
+        fa, fb = rng.normal(size=(90, 8)), rng.normal(size=(120, 8))
+        fb[:10] = fa[:10] + 1e-9
+        cand = np.union1d(np.arange(12), rng.choice(120, size=30, replace=False))
+        ids_a = np.concatenate([rng.integers(0, 89, 150), np.full(cand.size, 89)])
+        ids_b = np.concatenate([rng.integers(0, 120, 150), cand])
+        # anchors 0-9 twice each, with partners i + 1 and i + 2: each one's
+        # hardest negative is its near-duplicate i
+        ids_a[:20] = np.arange(10).repeat(2)
+        ids_b[:20] = np.arange(10).repeat(2) + [1, 2] * 10
+        got = lo._mine_hardest(fa[ids_a], ids_a, ids_b, fb[cand], cand)
+        want = dense_miner(fa[ids_a], ids_a, ids_b, fb[cand], cand)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        hardest, col, ok = got
+        assert (cand[col[:20]] == ids_a[:20]).all() and hardest[:20].max() < 1e-6
+        assert not ok[ids_a == 89].any() and np.isinf(hardest[ids_a == 89]).all()
+        assert ok[ids_a != 89].all()
+        assert np.isin(ids_b, cand).sum() > 40  # partners blocked outside anchor 89 too
 
     def test_candidates_drawn_for_a_then_b_after_the_positives(self, rng):
         fa, fb = rng.normal(size=(30, 3)), rng.normal(size=(25, 3))

@@ -1,4 +1,8 @@
+import json
+import os
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -9,6 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from distreg import model as mdl, simulate as sim
 from distreg.errors import MalformedFile, MissingCache, ShapeMismatch, TooFewPoints
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 TINY = mdl.ModelConfig(k=4, l=8, encoder_hidden=(8, 16), encoder_post_hidden=16,
                        phi=2, decoder_hidden=(16, 8))
@@ -162,28 +168,37 @@ class TestPooledBlock:
         assert inputs[0] is x and (inputs[1] >= 0).all()
 
     def test_argmax_takes_earliest_neighbor_on_ties(self, rng):
+        """The winner pass reads the largest rank k - j among the maximal
+        neighbors j; it picks what argmax picks, at k = 1, at the toy k,
+        and with uint8 (k = 255) and uint16 (k = 256) ranks."""
         enc, _ = tiny_params(randomize=4)
-        n, k, d = 30, TINY.k, 3
-        x = rng.normal(size=(n, k, d))
-        x[:, 3] = x[:, 1]  # neighbors 1 and 3 tie in every channel
-        x[::2] = 0.0       # whole rows tie, most channels at the ReLU's zero
-        own = np.zeros((n, TINY.encoder_hidden[1]))
-        idx = np.tile(np.arange(k), (n, 1))  # a winner row's neighbor index is its position
-        _, cache = mdl._pool_forward(idx, lambda nbrs, rows: x[rows], own, enc.layers, keep=True)
-        h2v, (_, h1v) = mdl._mlp_forward(x, enc.layers[:4])
-        reference = np.maximum(h2v, 0.0).argmax(axis=1)
-        winner = cache.win_ids[cache.slot]
-        assert winner.tobytes() == reference.tobytes()
-        assert (winner != 3).all() and (winner[::2] == 0).all()
-        # the kept rows are exactly the winning (point, neighbor) rows, in
-        # row-major order, each with its own layer inputs
-        rows = np.arange(n)[:, None]
-        won = np.zeros((n, k), dtype=bool)
-        won[rows, reference] = True
-        assert cache.win_ids.tobytes() == idx[won].tobytes()
-        assert cache.win_inputs[0].tobytes() == x[won].tobytes()
-        assert cache.win_inputs[1].tobytes() == h1v[won].tobytes()
-        assert cache.win_inputs[0][cache.slot].tobytes() == x[rows, reference].tobytes()
+        n, d = 30, 3
+        for k in (1, TINY.k, 255, 256):
+            x = rng.normal(size=(n, k, d))
+            if k > 3:
+                x[:, 3] = x[:, 1]  # neighbors 1 and 3 tie in every channel
+            x[::2] = 0.0       # whole rows tie, most channels at the ReLU's zero
+            x[1, 0] = np.nan   # point 1's channels are NaN, equal to no neighbor
+            own = np.zeros((n, TINY.encoder_hidden[1]))
+            idx = np.tile(np.arange(k), (n, 1))  # a winner row's neighbor index is its position
+            _, cache = mdl._pool_forward(idx, lambda nbrs, rows: x[rows], own, enc.layers,
+                                         keep=True)
+            h2v, (_, h1v) = mdl._mlp_forward(x, enc.layers[:4])
+            reference = np.maximum(h2v, 0.0).argmax(axis=1)
+            winner = cache.win_ids[cache.slot]
+            assert winner.tobytes() == reference.tobytes()
+            assert (winner != 3).all() and (winner[::2] == 0).all() and (winner[1] == 0).all()
+            if k > 1:
+                assert (winner[1::2] > 0).any()  # not every channel is won by neighbor 0
+            # the kept rows are exactly the winning (point, neighbor) rows, in
+            # row-major order, each with its own layer inputs
+            rows = np.arange(n)[:, None]
+            won = np.zeros((n, k), dtype=bool)
+            won[rows, reference] = True
+            assert cache.win_ids.tobytes() == idx[won].tobytes()
+            assert cache.win_inputs[0].tobytes() == x[won].tobytes()
+            assert cache.win_inputs[1].tobytes() == h1v[won].tobytes()
+            assert cache.win_inputs[0][cache.slot].tobytes() == x[rows, reference].tobytes()
 
     @pytest.mark.parametrize("n", [5, 16, 41], ids=["one-block", "two-blocks", "many-blocks"])
     @pytest.mark.parametrize("which", ["encoder", "symmetric-decoder"])
@@ -216,6 +231,22 @@ class TestPooledBlock:
         assert [a.tobytes() for a in blocked] == [a.tobytes() for a in whole]
 
 
+def dense_mlp_backward(layers, inputs, d):
+    """Reference for a whole ``mdl._mlp_backward`` loop: one product per
+    weight gradient over all rows. Returns the gradients and the first
+    layer's output gradient."""
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 2, -1, -2):
+        x = inputs[i // 2]
+        flat = d.reshape(-1, d.shape[-1])
+        grads[i] = flat.T @ x.reshape(-1, x.shape[-1])
+        grads[i + 1] = flat.sum(axis=0)
+        if i:
+            d = d @ layers[i]
+            d *= x > 0
+    return grads, d
+
+
 def dense_pool_backward(layers, x, post_inputs, d):
     """Reference for ``mdl._pool_backward``: the dense max-pool backward over
     all (N, k) per-neighbor rows ``x``, zero except at each channel's first
@@ -223,14 +254,14 @@ def dense_pool_backward(layers, x, post_inputs, d):
     per-neighbor first-layer output gradients and the own-path gradient."""
     h2v, pre_inputs = mdl._mlp_forward(x, layers[:4])
     argmax = np.maximum(h2v, 0.0).argmax(axis=1)
-    post_grads, dz = mdl._mlp_backward(layers[4:], post_inputs, d)
+    post_grads, dz = dense_mlp_backward(layers[4:], post_inputs, d)
     dz = dz @ layers[4]
     z = post_inputs[0]
     h2 = z.shape[1] // 2
     da2 = np.zeros((*x.shape[:2], h2))
     np.put_along_axis(da2, argmax[:, None, :],
                       (dz[:, :h2] * (z[:, :h2] > 0))[:, None, :], axis=1)
-    pre_grads, d_nbr = mdl._mlp_backward(layers[:4], pre_inputs, da2)
+    pre_grads, d_nbr = dense_mlp_backward(layers[:4], pre_inputs, da2)
     return pre_grads + post_grads, d_nbr, dz[:, h2:]
 
 
@@ -240,7 +271,7 @@ def dense_symmetric_decoder_backward(layers, cache, fm, d_offsets):
     grads, d_nbr, down = dense_pool_backward(
         layers, fm[cache.pool.idx], cache.pool.post_inputs, d_offsets.reshape(fm.shape[0], -1))
     own = cache.pool.post_inputs[0][:, down.shape[1]:]
-    own_grads, da1_own = mdl._mlp_backward(layers[:4], cache.inputs, down * (own > 0))
+    own_grads, da1_own = dense_mlp_backward(layers[:4], cache.inputs, down * (own > 0))
     for j, g in enumerate(own_grads):
         grads[j] += g
     dfm = np.zeros(fm.shape)
@@ -266,11 +297,18 @@ def monotone(layers):
 
 CASES = ["generic", "ties", "dead-channels", "k1", "one-neighbor-wins"]
 
+# each case in backward blocks of 256 rows (one block at these sizes) and of
+# 7, where winner-row blocks start inside a point's run of winner rows
+BLOCKED_CASES = pytest.mark.parametrize(
+    "case, block_rows", [(c, 256) for c in CASES] + [(c, 7) for c in CASES],
+    ids=CASES + [f"{c}-7-row-blocks" for c in CASES])
+
 
 @pytest.mark.threads
 class TestWinnerRowBackward:
-    @pytest.mark.parametrize("case", CASES)
-    def test_encoder_gradients_match_dense(self, rng, monkeypatch, case):
+    @BLOCKED_CASES
+    def test_encoder_gradients_match_dense(self, rng, monkeypatch, case, block_rows):
+        monkeypatch.setattr(mdl, "_BACKWARD_ROWS", block_rows)
         cfg = replace(TINY, k=1) if case == "k1" else TINY
         enc, _ = tiny_params(randomize=12, cfg=cfg)
         cloud = rng.uniform(-2, 2, (40, 3))
@@ -297,14 +335,15 @@ class TestWinnerRowBackward:
 
         x = cloud[pool.idx] - cloud[:, None, :]
         monkeypatch.setattr(mdl, "_pool_backward", lambda layers, pool_cache, d:
-                            dense_pool_backward(layers, x, pool_cache.post_inputs, d))
+                            dense_pool_backward(layers, x, pool_cache.post_inputs, d)[::2])
         reference = mdl.encoder_backward(enc, cache, d_f)
         assert list(grads) == list(reference)
         for name in grads:
             assert_close(grads[name], reference[name])
 
-    @pytest.mark.parametrize("case", CASES)
-    def test_symmetric_decoder_gradients_match_dense(self, rng, case):
+    @BLOCKED_CASES
+    def test_symmetric_decoder_gradients_match_dense(self, rng, monkeypatch, case, block_rows):
+        monkeypatch.setattr(mdl, "_BACKWARD_ROWS", block_rows)
         cfg = replace(SYMMETRIC, k=1) if case == "k1" else SYMMETRIC
         _, dec = tiny_params(randomize=13, cfg=cfg)
         assert dec.layers[6].any()  # init_params' zero output layer would hide the decoder path
@@ -339,8 +378,9 @@ class TestWinnerRowBackward:
     def test_encoder_training_pass_peak_memory(self, small_scene):
         """tracemalloc peak of one cached forward and backward of a LiDAR
         scan (N = 1,515) at the toy study's widths (k = 24, h = 32, 64, 64).
-        Measured: 17 MB with the winner-row cache, 45 MB with a dense
-        (N, k) cache and backward."""
+        Measured: 10.9 MB with the winner-row cache and a backward in row
+        blocks, 17.3 MB with one (R, h2) winner-row gradient, 45 MB with a
+        dense (N, k) cache and backward."""
         world, lidar, _ = small_scene
         pose = sim.line_trajectory((-35.0, 0.0), 0.0, 1.0, 1)[0]
         cloud = sim.simulate_scan(world, pose, replace(lidar, azimuth_steps=288), seed=0)
@@ -358,7 +398,103 @@ class TestWinnerRowBackward:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak < 28e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 14e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def asymmetric_reference(layers, fm, d_offsets):
+    """The asymmetric decoder as one MLP over all rows: its offsets, and its
+    gradients and feature-map gradient from ``dense_mlp_backward``."""
+    out, inputs = mdl._mlp_forward(fm, layers)
+    grads, d1 = dense_mlp_backward(layers, inputs, d_offsets.reshape(fm.shape[0], -1))
+    return out, grads, d1 @ layers[0]
+
+
+# One encoder and both decoders' backward at the toy study's sizes; prints a
+# digest of every gradient. Run at two BLAS thread counts by the test below.
+GRADIENT_DIGESTS = """
+import hashlib, json
+import numpy as np
+from distreg import model as mdl
+rng = np.random.default_rng(0)
+cloud = rng.uniform(-30.0, 30.0, (1500, 3))
+out = {}
+for variant in ("asymmetric", "symmetric"):
+    cfg = mdl.ModelConfig(k=24, l=32, phi=4, decoder_hidden=(512, 256), normalize=False,
+                          decoder_variant=variant)
+    enc, dec = mdl.init_params(5, cfg)
+    for _, t in mdl.named_parameters(enc, dec):
+        t += 0.02 * rng.normal(size=t.shape)
+    f, ec = mdl.encoder_forward_cached(cloud, enc)
+    offsets, dc = mdl.decoder_forward_cached(f, dec, ec.pool.idx)
+    grads, dfm = mdl.decoder_backward(dec, dc, rng.normal(size=offsets.shape))
+    grads.update(mdl.encoder_backward(enc, ec, rng.normal(size=f.shape)))
+    grads["dfm"] = dfm
+    for name, g in grads.items():
+        out[variant + " " + name] = hashlib.sha256(g.tobytes()).hexdigest()
+print(json.dumps(out))
+"""
+
+
+class TestRowBlockedBackward:
+    @pytest.mark.parametrize("n", [0, 1, 5, 255, 256, 257, 1025, 1576])
+    def test_row_blocks_cover_rows_in_near_equal_blocks(self, n):
+        blocks = mdl._row_blocks(n)
+        sizes = [b.stop - b.start for b in blocks]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert len(blocks) == max(1, -(-n // mdl._BACKWARD_ROWS))
+        assert max(sizes) <= mdl._BACKWARD_ROWS and max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("block_rows", [256, 7], ids=["one-block", "7-row-blocks"])
+    @pytest.mark.parametrize("hidden", [(), (16,), (16, 8), (16, 8, 12)],
+                             ids=["no-hidden", "one-hidden", "two-hidden", "three-hidden"])
+    def test_asymmetric_decoder_matches_one_mlp(self, rng, monkeypatch, hidden, block_rows):
+        """Blocked forward, recomputed hidden layers and blocked backward
+        against the decoder as one MLP over all 41 rows: the same offsets
+        and, to rounding, the same gradients."""
+        monkeypatch.setattr(mdl, "_BACKWARD_ROWS", block_rows)
+        _, dec = tiny_params(randomize=14, cfg=replace(TINY, decoder_hidden=hidden))
+        fm = rng.normal(size=(41, TINY.l))
+        d_off = rng.normal(size=(41, TINY.phi, 3))
+        offsets, cache = mdl.decoder_forward_cached(fm, dec)
+        grads, dfm = mdl.decoder_backward(dec, cache, d_off)
+        ref_out, ref_grads, ref_dfm = asymmetric_reference(dec.layers, fm, d_off)
+        assert offsets.tobytes() == ref_out.reshape(offsets.shape).tobytes()
+        assert list(grads) == [f"dec.t{j}" for i in range(len(dec.layers) - 2, -1, -2)
+                               for j in (i, i + 1)]
+        for name, g in grads.items():
+            assert_close(g, ref_grads[int(name[5:])])
+        assert_close(dfm, ref_dfm)
+
+    @pytest.mark.parametrize("n", [259, 514, 1025, 1444, 1576])
+    def test_decoder_offsets_identical_to_one_product_at_toy_size(self, rng, n):
+        """At the toy study's widths (32, 512, 256, 12) the blocked hidden
+        layers give the bytes of one full-height product: the sizes include
+        those whose 256-row tail would be 1 to 3 or 40 rows."""
+        _, dec = mdl.init_params(0, mdl.ModelConfig(k=24, l=32, decoder_hidden=(512, 256)))
+        dec.layers[-2][...] = rng.normal(size=dec.layers[-2].shape) / 16
+        fm = rng.normal(size=(n, 32))
+        offsets, cache = mdl.decoder_forward_cached(fm, dec)
+        assert offsets.tobytes() == mdl._mlp_forward(fm, dec.layers)[0].reshape(offsets.shape).tobytes()
+        # the cache holds the features and the output layer's input, no (N, 512) array
+        assert [x.shape for x in cache.inputs] == [(n, 32), (n, 256)]
+        assert cache.inputs[0] is fm
+
+    @pytest.mark.threads
+    def test_gradients_equal_at_one_and_two_blas_threads(self):
+        """Every encoder and decoder gradient of one backward at the toy
+        study's sizes has the same bytes at one and two OpenBLAS threads."""
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            out = subprocess.run([sys.executable, "-c", GRADIENT_DIGESTS], env=env,
+                                 capture_output=True, text=True, check=True).stdout
+            digests.append(json.loads(out))
+        assert len(digests[0]) == 2 * (8 + 1) + 6 + 8
+        differing = sorted(name for name in digests[0] if digests[0][name] != digests[1][name])
+        assert differing == []
 
 
 class TestDecoderForward:

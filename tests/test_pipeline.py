@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -428,34 +429,77 @@ class TestCurriculum:
         assert warm_final <= cold_final
 
 
+@pytest.fixture(scope="module")
+def study_scene():
+    """Acceptance criterion 7's two-vehicle world at 2 m frame spacing."""
+    world = sim.simulate_world(17, 56.0, 30)
+    lidar = sim.LidarConfig(azimuth_steps=320, elevation_angles=tuple(np.linspace(-10, 4, 8)),
+                            max_range=60.0, range_noise_sigma=0.01)
+    seq_a = sim.simulate_sequence(world, sim.line_trajectory((-20, -5), 0.0, 2.0, 21),
+                                  lidar, seed=1)
+    seq_b = sim.simulate_sequence(world, sim.line_trajectory((-20, +5), 0.0, 2.0, 21),
+                                  lidar, seed=2)
+    oa, ob = seq_a.origins(), seq_b.origins()
+    pairs = [(fa.index, fb.index) for pa, fa in enumerate(seq_a) for pb, fb in enumerate(seq_b)
+             if 10.0 <= np.linalg.norm(oa[pa] - ob[pb]) <= 20.0]
+    return seq_a, seq_b, pairs[::len(pairs) // 8][:8]
+
+
+def study_config(**loss):
+    """The toy study's APR training configuration; ``loss`` overrides its
+    loss weights."""
+    model = mdl.ModelConfig(k=24, l=32, phi=4, decoder_hidden=(512, 256), normalize=False)
+    return pl.TrainConfig(epochs=1, learning_rate=1e-2, momentum=0.9, seed=5,
+                          input_voxel_size=0.3, gt_corr_radius=0.45, model=model,
+                          apg=ApgConfig(psi=3, alpha=5.0, scope_radius=40.0, voxel_size=0.3),
+                          loss=LossConfig(**{"lambda1": 0.3, "lambda2": 0.003, **loss,
+                                             "n_pos_pairs": 512, "n_neg_candidates": 4096}))
+
+
+class TestStepMemory:
+    def test_apr_step_peak_memory(self, study_scene):
+        """tracemalloc peak of one APR step at the toy study's sizes (two
+        clouds of about 1,400 points, k = 24, decoder (512, 256), 512
+        positives and every row a negative candidate), both threads' halves
+        included. Measured on a 2-vCPU host: 29.8 MB with row-blocked
+        backward passes and mining, 43.5 MB with full-height decoder
+        activations, winner-row gradients and mining distances."""
+        seq_a, seq_b, pairs = study_scene
+        cfg = study_config()
+        i, j = pairs[0]
+        ctx = pl._build_pair_context(seq_a, seq_b, i, j, cfg)
+        apc_a = pl.reachable_target(generate_apc(seq_a, i, cfg.apg), ctx.cloud_a)
+        apc_b = pl.reachable_target(generate_apc(seq_b, j, cfg.apg), ctx.cloud_b)
+        assert min(len(ctx.cloud_a), len(ctx.cloud_b)) >= 1_300
+        assert len(ctx.gt_pairs) > 0
+        enc, dec = mdl.init_params(cfg.seed, cfg.model)
+        dec.layers[-2][...] = np.random.default_rng(0).normal(size=dec.layers[-2].shape) / 16
+        args = (ctx.cloud_a, ctx.cloud_b, apc_a, apc_b, ctx.gt_pairs, enc, dec, cfg.loss)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            report, _ = pl.pair_loss_and_grads(*args, rng=np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert report.l_cd > 0
+        assert peak < 36e6, f"peak {peak / 1e6:.1f} MB"
+
+
 class TestFirstSteps:
     """Unnormalized features of a k=24 encoder start meters wide, so the
     first metric-loss gradients are tens of times the later ones. Unclipped
     momentum steps then overshoot the shrinking features and silence most
     post-pool units for good, and the metric loss trains what is left."""
 
-    @pytest.fixture(scope="class")
-    def study_scene(self):
-        world = sim.simulate_world(17, 56.0, 30)
-        lidar = sim.LidarConfig(azimuth_steps=320, elevation_angles=tuple(np.linspace(-10, 4, 8)),
-                                max_range=60.0, range_noise_sigma=0.01)
-        seq_a = sim.simulate_sequence(world, sim.line_trajectory((-20, -5), 0.0, 2.0, 21),
-                                      lidar, seed=1)
-        seq_b = sim.simulate_sequence(world, sim.line_trajectory((-20, +5), 0.0, 2.0, 21),
-                                      lidar, seed=2)
-        oa, ob = seq_a.origins(), seq_b.origins()
-        pairs = [(fa.index, fb.index) for pa, fa in enumerate(seq_a) for pb, fb in enumerate(seq_b)
-                 if 10.0 <= np.linalg.norm(oa[pa] - ob[pb]) <= 20.0]
-        return seq_a, seq_b, pairs[::len(pairs) // 8][:8]
-
     def test_post_pool_units_survive_first_epoch(self, study_scene):
         seq_a, seq_b, pairs = study_scene
-        model = mdl.ModelConfig(k=24, l=32, phi=4, decoder_hidden=(512, 256), normalize=False)
-        cfg = pl.TrainConfig(epochs=1, learning_rate=1e-2, momentum=0.9, seed=5,
-                             input_voxel_size=0.3, gt_corr_radius=0.45, model=model,
-                             apg=ApgConfig(psi=3, alpha=5.0, scope_radius=40.0, voxel_size=0.3),
-                             loss=LossConfig(lambda1=0.0, lambda2=0.0, n_pos_pairs=512,
-                                             n_neg_candidates=4096))
+        cfg = study_config(lambda1=0.0, lambda2=0.0)
+        model = cfg.model
         enc, _, _ = pl.train(seq_a, seq_b, pairs, cfg)
         enc0, _ = mdl.init_params(cfg.seed, model)
         cloud = pl.voxel_downsample(seq_a[seq_a.position_of(pairs[0][0])].cloud, 0.3)
