@@ -19,6 +19,7 @@ from .geometry import (
     Points,
     apply_transform,
     as_points,
+    in_sphere,
     rotation_about_axis,
     voxel_downsample,
 )
@@ -123,11 +124,11 @@ def generate_apc(
         if pos in rotations:
             pts = pts @ rotations[pos].T  # about the frame's own sensor origin
         pts = apply_transform(pts, to_key.compose(frame.pose))
-        pts = pts[np.linalg.norm(pts, axis=1) <= cfg.scope_radius]
+        pts = pts[in_sphere(pts, cfg.scope_radius)]
         chunks.append(pts)
     apc = voxel_downsample(np.vstack(chunks), cfg.voxel_size)
     # centroid rounding can push a point past the sphere by ~1 ulp; re-crop
-    return apc[np.linalg.norm(apc, axis=1) <= cfg.scope_radius]
+    return apc[in_sphere(apc, cfg.scope_radius)]
 
 
 def apc_coverage_gain(key_frame_cropped, apc, tau: float) -> float:

@@ -251,6 +251,14 @@ def voxel_downsample(cloud, voxel_size: float) -> Points:
     depend on input ordering. Each centroid sums its members in input
     order. Raises ValueError when the size is not positive and finite, or
     when a cell coordinate does not fit in int64.
+
+    The cells are ordered by one packed int64 key per point,
+    ((x − x0)·Sy + (y − y0))·Sz + (z − z0), where (x0, y0, z0) is the
+    occupied box's lowest corner and Sy, Sz its spans in cells; this key
+    orders cells exactly as the lexicographic order does. Only a box of
+    more than 2^63 − 1 cells falls back to a lexsort of the cell rows. The
+    sort need not be stable: ``np.bincount`` adds each cell's members in
+    input order whatever their order in the sort.
     """
     if not 0 < voxel_size < np.inf:
         raise ValueError("voxel_size must be positive and finite")
@@ -258,18 +266,49 @@ def voxel_downsample(cloud, voxel_size: float) -> Points:
     if pts.shape[0] == 0:
         return pts
     scaled = np.floor(pts / voxel_size)
-    if not (scaled.min() >= -2.0**63 and scaled.max() < 2.0**63):
+    # one 1-D reduction per column: an axis-0 reduction over (n, 3) is slower
+    lo = [scaled[:, d].min() for d in range(3)]
+    hi = [scaled[:, d].max() for d in range(3)]
+    if not (min(lo) >= -2.0**63 and max(hi) < 2.0**63):
         raise ValueError("voxel cell coordinates overflow int64; voxel_size too small")
     cells = scaled.astype(np.int64)
-    order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
-    ranked = cells[order]
-    starts = np.empty(len(order), dtype=bool)
-    starts[0] = True
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    x0, y0, z0 = (int(v) for v in lo)
+    sx, sy, sz = (int(h) - int(v) + 1 for v, h in zip(lo, hi))
+    if sx * sy * sz < 2**63:
+        # every partial sum of the key lies in [0, sx·sy·sz), so none wraps
+        key = (cells[:, 0] - x0) * sy
+        key += cells[:, 1] - y0
+        key *= sz
+        key += cells[:, 2] - z0
+        order = np.argsort(key)
+        ranked = key[order]
+        new_cell = ranked[1:] != ranked[:-1]
+    else:
+        order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
+        ranked = cells[order]
+        new_cell = np.any(ranked[1:] != ranked[:-1], axis=1)
     inverse = np.empty(len(order), dtype=np.int64)
-    inverse[order] = np.cumsum(starts) - 1
+    inverse[order[0]] = 0
+    inverse[order[1:]] = np.cumsum(new_cell)
     sums = np.stack([np.bincount(inverse, weights=pts[:, d]) for d in range(3)], axis=1)
     return sums / np.bincount(inverse).astype(np.float64)[:, None]
+
+
+def in_sphere(cloud, radius: float) -> NDArray[np.bool_]:
+    """Mask of the points no farther than ``radius`` from the origin.
+
+    Computes sqrt(x·x + y·y + z·z) <= radius with the adds left to right,
+    which is what ``np.linalg.norm(cloud, axis=1) <= radius`` computes, to
+    the bit, without its generic axis reduction. Not
+    ``np.sqrt(np.einsum("ij,ij->i", p, p))``: einsum may add in another
+    order, and its norms then differ in the last bit.
+    """
+    pts = np.asarray(cloud, dtype=np.float64)
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    sq = x * x
+    sq += y * y
+    sq += z * z
+    return np.sqrt(sq, out=sq) <= radius
 
 
 def overlap_ratio(cloud_a, cloud_b, transform: RigidTransform, tau: float) -> float:

@@ -28,13 +28,14 @@ import numpy as np
 from . import model as mdl
 from .aggregate import ApgConfig, DisturbConfig, generate_apc, select_nonkey_frames
 from .dataio import FrameSequence, PairRecord, PairSpec, distill_records, relative_gt
-from .errors import NonFinite, NonFiniteLoss, NoPairs, check_int
+from .errors import EmptyCloud, NonFinite, NonFiniteLoss, NoPairs, check_int
 from .geometry import (
     NeighborIndex,
     Points,
     RigidTransform,
     apply_transform,
     as_points,
+    in_sphere,
     ordered_map,
     voxel_downsample,
 )
@@ -278,13 +279,22 @@ class _PairContext:
     gt_pairs: np.ndarray  # (K, 2) int64, from gt_correspondences
 
 
+def _crop_to_scope(frame, sequence: str, cfg: TrainConfig) -> Points:
+    """The frame's points inside the aggregate's scope sphere, prepared as
+    a training input; EmptyCloud names the frame when none is left."""
+    r = cfg.apg.scope_radius
+    cloud = frame.cloud[in_sphere(frame.cloud, r)]
+    if cloud.shape[0] == 0:
+        raise EmptyCloud(f"frame {frame.index} of the {sequence} sequence has no point "
+                         f"within the scope radius {r} m")
+    return _prepare_cloud(cloud, cfg.input_voxel_size)
+
+
 def _build_pair_context(seq_a, seq_b, i, j, cfg: TrainConfig) -> _PairContext:
     fa = seq_a[seq_a.position_of(i)]
     fb = seq_b[seq_b.position_of(j)]
     # keep training inputs within the geometry the aggregate target covers
-    r = cfg.apg.scope_radius
-    ca = _prepare_cloud(fa.cloud[np.linalg.norm(fa.cloud, axis=1) <= r], cfg.input_voxel_size)
-    cb = _prepare_cloud(fb.cloud[np.linalg.norm(fb.cloud, axis=1) <= r], cfg.input_voxel_size)
+    ca, cb = (_crop_to_scope(f, name, cfg) for f, name in ((fa, "first"), (fb, "second")))
     gt = relative_gt(fa, fb)
     pairs = gt_correspondences(ca, cb, gt, cfg.gt_corr_radius)
     return _PairContext(ca, cb, gt, pairs)

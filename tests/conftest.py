@@ -14,6 +14,20 @@ def relative_rotation_angle_deg(rotation_a, rotation_b) -> float:
     return float(np.degrees(np.arctan2(s, c)))
 
 
+def voxel_reference(cloud, voxel_size):
+    """The voxel grid by ``np.unique(axis=0)`` and ``np.add.at``. Both it and
+    ``voxel_downsample`` order cells lexicographically and sum each cell's
+    members in input order, so their outputs must agree to the byte."""
+    pts = np.asarray(cloud, dtype=np.float64)
+    cells = np.floor(pts / voxel_size).astype(np.int64)
+    uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    sums = np.zeros((uniq.shape[0], 3))
+    np.add.at(sums, inverse, pts)
+    counts = np.bincount(inverse, minlength=uniq.shape[0]).astype(np.float64)
+    return sums / counts[:, None]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from conftest import voxel_reference
 
 from distreg import aggregate as agg
 from distreg.dataio import Frame, FrameSequence
 from distreg.errors import EmptyCloud, NoNeighborFrames
-from distreg.geometry import RigidTransform, rotation_about_axis, voxel_downsample
+from distreg.geometry import RigidTransform, apply_transform, rotation_about_axis, voxel_downsample
 
 CFG = agg.ApgConfig(psi=3, alpha=10.0, scope_radius=50.0, voxel_size=0.3)
 
@@ -160,10 +161,35 @@ class TestGenerateApc:
         other_seed = agg.generate_apc(seq, 35, CFG, agg.DisturbConfig(3, seed=4))
         assert not np.array_equal(d1, other_seed)
 
+    @pytest.mark.parametrize("key_index", [0, 12, 35, 70])
+    @pytest.mark.parametrize("n_disturb", [0, 2])
+    def test_matches_norm_and_unique_oracle(self, small_scene, key_index, n_disturb):
+        _, _, seq = small_scene
+        available = len(agg.select_nonkey_frames(seq, key_index, CFG))
+        disturb = agg.DisturbConfig(min(n_disturb, available), seed=key_index)
+        apc = agg.generate_apc(seq, key_index, CFG, disturb)
+        assert apc.tobytes() == _apc_oracle(seq, key_index, CFG, disturb).tobytes()
+
     def test_disturb_exceeding_nonkey_count_rejected(self, small_scene):
         _, _, seq = small_scene
         with pytest.raises(ValueError):
             agg.generate_apc(seq, 35, CFG, agg.DisturbConfig(7, seed=0))
+
+
+def _apc_oracle(seq, key_index, cfg, disturb):
+    """``generate_apc`` with ``np.linalg.norm`` crops and the ``np.unique``
+    voxel grid of ``voxel_reference``."""
+    nonkey = agg.select_nonkey_frames(seq, key_index, cfg)
+    rotations = agg._disturb_rotations(len(nonkey), disturb)
+    to_key = seq[seq.position_of(key_index)].pose.inverse()
+    chunks = []
+    for pos, idx in enumerate(nonkey):
+        frame = seq[seq.position_of(idx)]
+        pts = frame.cloud @ rotations[pos].T if pos in rotations else frame.cloud
+        pts = apply_transform(pts, to_key.compose(frame.pose))
+        chunks.append(pts[np.linalg.norm(pts, axis=1) <= cfg.scope_radius])
+    apc = voxel_reference(np.vstack(chunks), cfg.voxel_size)
+    return apc[np.linalg.norm(apc, axis=1) <= cfg.scope_radius]
 
 
 class TestCoverageGain:

@@ -396,6 +396,17 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: cloud has ")
         assert not out.exists()
 
+    def test_empty_scope_crop_exit_4(self, dataset, pairs_file, tmp_path, capsys):
+        # no return of the dataset lies within 1 cm of its sensor
+        out = tmp_path / "x.ckpt"
+        assert run(["train", "--dataset", dataset, "--pairs", pairs_file, "--epochs", 1,
+                    "--scope-radius", 0.01, "--out", out]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.fullmatch(
+            r"error: frame \d+ of the first sequence has no point within the scope radius 0\.01 m",
+            err[0])
+        assert not out.exists()
+
     def test_no_neighbor_frames_exit_4(self, tmp_path, capsys):
         # a one-frame dataset leaves the key frame nothing to aggregate
         ds = tmp_path / "one"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import relative_rotation_angle_deg
+from conftest import relative_rotation_angle_deg, voxel_reference
 from hypothesis import given, settings, strategies as st
 
 from distreg import geometry as g
@@ -361,31 +361,50 @@ class TestVoxelDownsample:
         _, _, seq = small_scene
         for frame in list(seq)[::10]:
             for voxel_size in (0.05, 0.3, 2.0):
-                ref = _voxel_reference(frame.cloud, voxel_size)
+                ref = voxel_reference(frame.cloud, voxel_size)
                 assert g.voxel_downsample(frame.cloud, voxel_size).tobytes() == ref.tobytes()
+
+    # 2^63 - 1 = 3577 * 42799 * 60247241209: a box with these spans holds the
+    # most cells an int64 key numbers. Spans of 2^21 give 2^63 cells, one
+    # too many, and take the lexsort.
+    @pytest.mark.parametrize("spans,lexsort", [
+        ((3577, 42799, 60247241209), False),
+        ((2**21, 2**21, 2**21), True),
+    ])
+    def test_packed_key_boundary(self, monkeypatch, spans, lexsort):
+        far = np.array(spans, dtype=np.float64) - 1.0
+        pts = np.array([far, far / 3.0, [0.0, 0.0, 0.0], far, [0.5, far[1], 0.25],
+                        [far[0], 0.0, far[2] - 0.5]])
+        ref = voxel_reference(pts, 1.0)
+        calls = []
+        lexsort_fn = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort_fn(keys))
+        assert g.voxel_downsample(pts, 1.0).tobytes() == ref.tobytes()
+        assert len(calls) == lexsort
+
+    @pytest.mark.parametrize("pts,voxel_size", [
+        # one cell: every span is 1 and every key 0
+        ([(0.1, 0.2, 0.3), (0.4, 0.5, 0.6), (0.1, 0.2, 0.3)], 1.0),
+        # one cell value on the y axis
+        ([(0.0, 3.2, 1.0), (5.0, 3.9, -4.0), (-2.0, 3.0, 1.0), (5.5, 3.1, -4.0)], 1.0),
+        # negative cells on every axis
+        ([(-0.1, -7.3, -2.0), (-9.9, -0.2, -0.01), (-0.05, -7.1, -1.5), (-4.4, -4.4, -4.4)], 0.3),
+        # cells at the bottom of int64, packed relative to x0 = -2^63
+        ([(-(2.0**63), 0.0, 0.0), (-(2.0**63) + 2048.0, 1.0, 0.0), (-(2.0**63), 0.5, 0.0)], 1.0),
+    ])
+    def test_small_boxes_match_reference(self, pts, voxel_size):
+        pts = np.array(pts)
+        out = g.voxel_downsample(pts, voxel_size)
+        assert out.tobytes() == voxel_reference(pts, voxel_size).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(case=st.data())
     def test_matches_reference_bytes(self, case):
         pts, voxel_size = case.draw(_voxel_clouds())
         out = g.voxel_downsample(pts, voxel_size)
-        ref = _voxel_reference(pts, voxel_size)
+        ref = voxel_reference(pts, voxel_size)
         assert out.shape == ref.shape and out.flags.c_contiguous
         assert out.tobytes() == ref.tobytes()
-
-
-def _voxel_reference(cloud, voxel_size):
-    """The voxel grid by ``np.unique(axis=0)`` and ``np.add.at``. Both it and
-    ``voxel_downsample`` order cells lexicographically and sum each cell's
-    members in input order, so their outputs must agree to the byte."""
-    pts = g.as_points(cloud)
-    cells = np.floor(pts / voxel_size).astype(np.int64)
-    uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    sums = np.zeros((uniq.shape[0], 3))
-    np.add.at(sums, inverse, pts)
-    counts = np.bincount(inverse, minlength=uniq.shape[0]).astype(np.float64)
-    return sums / counts[:, None]
 
 
 @st.composite
@@ -404,6 +423,45 @@ def _voxel_clouds(draw):
     pts = np.array([(np.array(cells[c], dtype=np.float64) + off) * voxel_size
                     for c, off in rows])
     return pts, voxel_size
+
+
+class TestInSphere:
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.data())
+    def test_matches_linalg_norm(self, case):
+        pts, radius = case.draw(_sphere_cases())
+        with np.errstate(over="ignore", under="ignore"):
+            want = np.linalg.norm(pts, axis=1) <= radius
+            got = g.in_sphere(pts, radius)
+        assert got.dtype == np.bool_ and got.tobytes() == want.tobytes()
+
+
+_SPHERE_COORDS = (
+    st.floats(-1e3, 1e3)
+    # subnormal and tiny coordinates, whose squares underflow
+    | st.floats(-1e-300, 1e-300) | st.sampled_from([5e-324, -5e-324, 2.2e-308])
+    # huge coordinates, whose squares overflow to inf
+    | st.floats(-1.7e308, 1.7e308) | st.sampled_from([1e154, 1.4e154, -1e200, 1.7e308])
+)
+
+
+@st.composite
+def _sphere_cases(draw):
+    """Rows of any finite coordinates, with rows of generic coordinates
+    (seeded normal draws, whose squares and sums round, unlike most drawn
+    floats), and a radius that is either drawn or the norm of one of the
+    rows, so that some points lie exactly on the sphere."""
+    rows = draw(st.lists(st.tuples(_SPHERE_COORDS, _SPHERE_COORDS, _SPHERE_COORDS),
+                         min_size=1, max_size=20))
+    scale = draw(st.sampled_from([1e-160, 1e-3, 1.0, 1e3, 1e150]))
+    generic = np.random.default_rng(draw(st.integers(0, 2**32))).normal(
+        size=(draw(st.integers(0, 20)), 3)) * scale
+    pts = np.vstack([np.array(rows, dtype=np.float64), generic])
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(pts, axis=1)
+    on_sphere = st.sampled_from([float(v) for v in norms if 0 < v < np.inf] or [1.0])
+    radius = draw(on_sphere | st.floats(1e-300, 1e300))
+    return pts, radius
 
 
 class TestOverlapRatio:

@@ -3,7 +3,6 @@ import os
 import struct
 import subprocess
 import sys
-import time
 import tracemalloc
 from dataclasses import replace
 
@@ -136,25 +135,41 @@ class TestEncoderForward:
         cached, _ = mdl.encoder_forward_cached(cloud, enc)
         assert mdl.encoder_forward(cloud, enc).tobytes() == cached.tobytes()
 
-    def test_scaling_subquadratic(self, rng):
+    def test_scaling_subquadratic(self):
         # empirical complexity across a 16x size range: the fitted exponent
         # stays close to the N log N of the kNN stage. CPU time, and the
         # fastest of several repeats, so that other load on the host does
-        # not count
-        enc, _ = mdl.init_params(0, mdl.ModelConfig(k=6, l=12, phi=2, decoder_hidden=(32, 16)))
-        sizes = (1000, 4000, 16000)
-        times = []
-        for n in sizes:
-            cloud = rng.uniform(-40, 40, size=(n, 3))
-            mdl.encoder_forward(cloud, enc)  # warm caches and the allocator
-            repeats = []
-            for _ in range(9):
-                t0 = time.process_time()
-                mdl.encoder_forward(cloud, enc)
-                repeats.append(time.process_time() - t0)
-            times.append(min(repeats))
-        exponent = np.polyfit(np.log(sizes), np.log(times), 1)[0]
+        # not count; in a child at one BLAS thread, since idle BLAS workers
+        # spin and would count as CPU time too
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", ENCODER_SCALING], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        exponent = float(out)
         assert exponent < 1.3, f"encoder scaling exponent {exponent:.2f}"
+
+
+# prints the fitted exponent of the encoder's CPU time over the cloud size
+ENCODER_SCALING = """
+import time
+import numpy as np
+from distreg import model as mdl
+rng = np.random.default_rng(12345)
+enc, _ = mdl.init_params(0, mdl.ModelConfig(k=6, l=12, phi=2, decoder_hidden=(32, 16)))
+sizes = (1000, 4000, 16000)
+times = []
+for n in sizes:
+    cloud = rng.uniform(-40, 40, size=(n, 3))
+    mdl.encoder_forward(cloud, enc)  # warm caches and the allocator
+    repeats = []
+    for _ in range(9):
+        t0 = time.process_time()
+        mdl.encoder_forward(cloud, enc)
+        repeats.append(time.process_time() - t0)
+    times.append(min(repeats))
+print(np.polyfit(np.log(sizes), np.log(times), 1)[0])
+"""
 
 
 @pytest.mark.threads

@@ -11,7 +11,7 @@ from distreg import pipeline as pl
 from distreg import simulate as sim
 from distreg.aggregate import ApgConfig, generate_apc
 from distreg.dataio import PairSpec, distill_records
-from distreg.errors import NoPairs, NonFinite, NonFiniteLoss, UnknownFrame
+from distreg.errors import EmptyCloud, NoPairs, NonFinite, NonFiniteLoss, UnknownFrame
 from distreg.geometry import NeighborIndex, apply_transform, random_transform
 from distreg.losses import LossConfig, chamfer, hardest_contrastive, l2_offset_reg, total_loss
 from distreg.register import NORMAL, RansacConfig, registration_recall
@@ -164,6 +164,16 @@ class TestTrain:
         with pytest.raises(NonFiniteLoss) as exc:
             pl.train(seq_a, seq_b, pairs, cfg)
         assert exc.value.step >= 0
+
+    def test_empty_scope_crop_names_the_frame(self, toy_setup):
+        # no return of the scene lies within 1 cm of its sensor
+        seq_a, seq_b, pairs = toy_setup
+        cfg = toy_config(apg=ApgConfig(psi=2, alpha=3.0, scope_radius=0.01, voxel_size=0.4))
+        i = pairs[0][0]
+        with pytest.raises(EmptyCloud, match=rf"^frame {i} of the first sequence has no point "
+                                             r"within the scope radius 0\.01 m$") as exc:
+            pl.train(seq_a, seq_b, pairs[:1], cfg)
+        assert exc.value.exit_code == 4
 
 
 def serial_pair_loss_and_grads(cloud_a, cloud_b, apc_a, apc_b, gt_pairs, enc, dec, cfg, rng):
