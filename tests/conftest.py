@@ -28,6 +28,72 @@ def voxel_reference(cloud, voxel_size):
     return sums / counts[:, None]
 
 
+def _box_reference(origin, dirs, box):
+    lo = np.asarray(box.center) - np.asarray(box.size) / 2.0
+    hi = np.asarray(box.center) + np.asarray(box.size) / 2.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv = 1.0 / dirs
+        t1 = (lo - origin) * inv
+        t2 = (hi - origin) * inv
+    tmin = np.nanmax(np.minimum(t1, t2), axis=1)
+    tmax = np.nanmin(np.maximum(t1, t2), axis=1)
+    hit = (tmax >= tmin) & (tmin > 1e-9)
+    return np.where(hit, tmin, np.inf)
+
+
+def _cylinder_reference(origin, dirs, cyl):
+    cx, cy = cyl.center_xy
+    ox, oy = origin[0] - cx, origin[1] - cy
+    dx, dy = dirs[:, 0], dirs[:, 1]
+    a = dx * dx + dy * dy
+    b = 2.0 * (ox * dx + oy * dy)
+    c = ox * ox + oy * oy - cyl.radius * cyl.radius
+    disc = b * b - 4.0 * a * c
+    t = np.full(dirs.shape[0], np.inf)
+    ok = (disc >= 0) & (a > 1e-16)
+    sq = np.sqrt(np.where(ok, disc, 0.0))
+    denom = np.where(ok, 2.0 * a, 1.0)
+    for sign in (-1.0, 1.0):
+        tc = np.where(ok, (-b + sign * sq) / denom, np.inf)
+        z = origin[2] + np.where(ok, tc, 0.0) * dirs[:, 2]
+        valid = ok & (tc > 1e-9) & (z >= 0.0) & (z <= cyl.height)
+        t = np.where(valid & (tc < t), tc, t)
+    dz = dirs[:, 2]
+    movable = np.abs(dz) > 1e-12
+    t_cap = np.where(movable, (cyl.height - origin[2]) / np.where(movable, dz, 1.0), np.inf)
+    reach = np.where(movable, t_cap, 0.0)
+    px = origin[0] + reach * dirs[:, 0] - cx
+    py = origin[1] + reach * dirs[:, 1] - cy
+    on_cap = movable & (t_cap > 1e-9) & (px * px + py * py <= cyl.radius * cyl.radius)
+    return np.where(on_cap & (t_cap < t), t_cap, t)
+
+
+def scan_reference(world, sensor_pose, cfg, seed=0):
+    """``simulate_scan`` without a broad phase: every obstacle's exact test
+    runs on every ray, one obstacle at a time, and ``np.minimum`` keeps each
+    ray's first hit. The caster tests only the rays in each obstacle's
+    azimuth sector, with the same elementwise formulas, so its scans must
+    equal these to the byte."""
+    origin = sensor_pose.translation
+    dirs_local = sim._ray_directions(cfg)
+    dirs = dirs_local @ sensor_pose.rotation.T
+    ranges = np.full(dirs.shape[0], np.inf)
+    if world.ground:
+        ranges = np.minimum(ranges, sim._intersect_ground(origin, dirs))
+    for box in world.boxes:
+        ranges = np.minimum(ranges, _box_reference(origin, dirs, box))
+    for cyl in world.cylinders:
+        ranges = np.minimum(ranges, _cylinder_reference(origin, dirs, cyl))
+    rng = np.random.default_rng(seed)
+    sigma = cfg.range_noise_sigma
+    noise = rng.normal(0.0, sigma, size=ranges.shape) if sigma > 0 else np.zeros_like(ranges)
+    if sigma > 0:
+        noise = np.clip(noise, -6.0 * sigma, 6.0 * sigma)
+    hit = ranges <= cfg.max_range
+    r = np.maximum(ranges[hit] + noise[hit], 0.0)
+    return dirs_local[hit] * r[:, None]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -5,7 +5,8 @@ from conftest import voxel_reference
 from distreg import aggregate as agg
 from distreg.dataio import Frame, FrameSequence
 from distreg.errors import EmptyCloud, NoNeighborFrames
-from distreg.geometry import RigidTransform, apply_transform, rotation_about_axis, voxel_downsample
+from distreg.geometry import (RigidTransform, apply_transform, in_sphere, rotation_about_axis,
+                              voxel_downsample)
 
 CFG = agg.ApgConfig(psi=3, alpha=10.0, scope_radius=50.0, voxel_size=0.3)
 
@@ -142,6 +143,26 @@ class TestGenerateApc:
         apc = agg.generate_apc(seq, 3, cfg)
         assert len(apc) > 0
         assert sorted(set(np.floor(apc[:, 0] / 3.0).astype(int))) == [0, 4]
+
+    def test_centroid_rounded_past_the_sphere_is_dropped(self, rng):
+        # three points on the 40 m sphere, each on its inner side to the last
+        # bit, in one 0.3 m cell, found by a seeded search; the centroid of
+        # their summed coordinates rounds to a norm of 40.00000000000001
+        cell = np.array([
+            [-0.21294621452607218, 32.63212454155053, 23.132209185775025],
+            [-0.2129463505520786, 32.63212439085716, 23.132209397102823],
+            [-0.2129461872348937, 32.63212440652236, 23.132209376507678],
+        ])
+        cfg = agg.ApgConfig(psi=1, alpha=1.0, scope_radius=40.0, voxel_size=0.3)
+        assert in_sphere(cell, 40.0).all()
+        centroid = voxel_downsample(cell, cfg.voxel_size)
+        assert centroid.shape == (1, 3) and not in_sphere(centroid, 40.0).any()
+        others = rng.uniform(-20.0, 20.0, (300, 3))
+        seq = identity_sequence(np.vstack([others, cell]), 2)
+        apc = agg.generate_apc(seq, 0, cfg)
+        assert in_sphere(apc, 40.0).all()
+        assert not (apc == centroid).all(axis=1).any()
+        assert apc.tobytes() == voxel_downsample(others, cfg.voxel_size).tobytes()
 
     def test_no_neighbor_frames(self, rng):
         seq = identity_sequence(rng.uniform(-1, 1, (50, 3)), 1)
