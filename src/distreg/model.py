@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -210,12 +211,13 @@ def _mlp_backward(layers, inputs, d: np.ndarray, grads: list) -> np.ndarray:
 class PoolCache:
     """What ``_pool_backward`` needs of one pooled-neighborhood block. The
     max-pool passes gradient only to the (point, neighbor) rows that win a
-    channel, so only those R rows are kept, in row-major (point, neighbor)
-    order; at k = 24 they are about a third of the N·k rows."""
+    channel; at k = 24 they are about a third of the N·k rows. Only their
+    positions are kept, in row-major (point, neighbor) order: the backward
+    recomputes their layer inputs from ``gather`` (``_winner_inputs``)."""
 
     idx: np.ndarray                # (N, k) neighbor indices
-    win_inputs: list[np.ndarray]   # winner rows' per-neighbor layer inputs: (R, d), (R, h1)
-    win_ids: np.ndarray            # (R,) winner rows' neighbor indices
+    gather: Callable[[np.ndarray, slice], np.ndarray]  # the forward's per-neighbor inputs
+    win_pos: np.ndarray            # (R,) winner rows' flat positions p·k + j in idx
     slot: np.ndarray               # (N, h2) winner row of each (point, channel)
     post_inputs: list[np.ndarray]  # post-pool layer inputs: z = [pooled, own] (N, 2*h2), (N, h3)
 
@@ -231,15 +233,16 @@ def _pool_forward(idx, gather, own, layers, keep: bool):
     intermediates stay cache-resident at large N; each row's products do
     not depend on the block it falls in. With ``keep`` each channel's
     winner is the earliest neighbor holding its max (as argmax picks it,
-    also when the max is ReLU's zero), the layer inputs and neighbor
-    indices of the rows that win any channel are kept, and a PoolCache is
-    returned. The post-pool MLP always runs once over all rows."""
+    also when the max is ReLU's zero), the flat positions of the rows that
+    win any channel are kept, and a PoolCache is returned; no activation
+    of the per-neighbor stage outlives its block. The post-pool MLP always
+    runs once over all rows."""
     pre, post = layers[:4], layers[4:]
     n, k = idx.shape
     pooled = np.empty(own.shape)
     if keep:
         slot = np.empty(own.shape, dtype=np.intp)
-        kept_inputs, kept_ids, n_kept = [], [], 0
+        kept, n_kept = [], 0
     block = max(1, _BLOCK_ELEMENTS // (k * own.shape[1]))
     if keep:
         # k - j for neighbor j, in the narrowest unsigned type that holds k
@@ -264,27 +267,42 @@ def _pool_forward(idx, gather, own, layers, keep: bool):
             won = np.flatnonzero(wins)
             slot[rows] = np.cumsum(wins)[first] + (n_kept - 1)
             n_kept += won.size
-            kept_inputs.append([x.reshape(-1, x.shape[-1]).take(won, axis=0) for x in inputs])
-            kept_ids.append(nbrs.reshape(-1).take(won))
-    if keep:
-        # joined and released before the post-pool MLP allocates its own
-        win_inputs = [np.concatenate(parts) for parts in zip(*kept_inputs)]
-        win_ids = np.concatenate(kept_ids)
-        del kept_inputs, kept_ids
+            kept.append(won + start * k)
     out, post_inputs = _mlp_forward(np.concatenate([pooled, own], axis=1), post)
-    cache = PoolCache(idx, win_inputs, win_ids, slot, post_inputs) if keep else None
+    cache = PoolCache(idx, gather, np.concatenate(kept), slot, post_inputs) if keep else None
     return out, cache
+
+
+def _winner_inputs(pre, cache: PoolCache, rows: slice) -> tuple[slice, list[np.ndarray]]:
+    """The run of points that owns the winner rows ``rows`` and those rows'
+    per-neighbor layer inputs, (rows, d) and (rows, h1). The points' inputs
+    are gathered again and their first layer ``pre[:2]`` recomputed: the
+    forward's own per-point (k, d) @ (d, h1) products, so every value has
+    the forward's bytes."""
+    k = cache.idx.shape[1]
+    pos = cache.win_pos[rows]
+    points = slice(pos[0] // k, pos[-1] // k + 1)
+    x = cache.gather(cache.idx[points], points)
+    a1, _ = _mlp_forward(x, pre[:2])
+    at = pos - points.start * k
+    inputs = [x.reshape(-1, x.shape[-1]).take(at, axis=0),
+              a1.reshape(-1, a1.shape[-1]).take(at, axis=0)]
+    np.maximum(inputs[1], 0.0, out=inputs[1])
+    return points, inputs
 
 
 def _pool_backward(layers, cache: PoolCache, d: np.ndarray, d_source=None):
     """Gradients of sum(d * out) for the block's eight tensors (in layer
     order) and for ``own``. With ``d_source``, the gradient of the rows that
     ``gather`` read (the symmetric decoder's features), each winner row's
-    input gradient is added to its row ``win_ids`` there.
+    input gradient is added to its neighbor's row ``idx.flat[win_pos]``
+    there.
 
     Both MLPs run in ``_row_blocks``: the post-pool one over the N points,
     the per-neighbor one over the R winner rows, whose max-pool gradient
-    dz·(z > 0) is routed one block at a time."""
+    dz·(z > 0) is routed one block at a time. Each block's layer inputs are
+    recomputed from the run of points that owns it (``_winner_inputs``), at
+    most ``_BACKWARD_ROWS`` points of k rows each."""
     pre, post = layers[:4], layers[4:]
     grads = [np.zeros(t.shape) for t in layers]
     z = cache.post_inputs[0]
@@ -295,21 +313,18 @@ def _pool_backward(layers, cache: PoolCache, d: np.ndarray, d_source=None):
                                  grads[4:]) @ post[0]
     # max-pool: route each channel's gradient to its winner row, if that
     # row's activation (the pooled value) is positive. A point's winner rows
-    # are contiguous and start at its least slot, so a block of winner rows
-    # is fed by a contiguous run of points, and no (row, channel) is written
-    # twice
+    # are contiguous, so a block of winner rows is fed by a contiguous run of
+    # points, and no (row, channel) is written twice
     routed = dz[:, :h2] * (z[:, :h2] > 0)
-    starts = cache.slot.min(axis=1)
-    for rows in _row_blocks(cache.win_ids.size):
-        points = slice(np.searchsorted(starts, rows.start, side="right") - 1,
-                       np.searchsorted(starts, rows.stop))
+    for rows in _row_blocks(cache.win_pos.size):
+        points, inputs = _winner_inputs(pre, cache, rows)
         at = cache.slot[points] - rows.start
         point, channel = np.nonzero((at >= 0) & (at < rows.stop - rows.start))
         da2 = np.zeros((rows.stop - rows.start, h2))
         da2[at[point, channel], channel] = routed[points][point, channel]
-        d_nbr = _mlp_backward(pre, [x[rows] for x in cache.win_inputs], da2, grads[:4])
+        d_nbr = _mlp_backward(pre, inputs, da2, grads[:4])
         if d_source is not None:
-            np.add.at(d_source, cache.win_ids[rows], d_nbr @ pre[0])
+            np.add.at(d_source, cache.idx.flat[cache.win_pos[rows]], d_nbr @ pre[0])
     return grads, dz[:, h2:]
 
 

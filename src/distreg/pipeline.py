@@ -369,6 +369,7 @@ def train(
                 v = cfg.momentum * velocity[name] + grads[name]
                 velocity[name] = v
                 tensor -= lr * v
+            del grads  # not held through the next step's forward and backward
             log.steps.append(StepRecord(step, report.l_ml, report.l_cd, report.l_l2, report.total))
             step += 1
         if val_pairs:

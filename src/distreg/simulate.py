@@ -231,6 +231,47 @@ def _cast_obstacles(ranges, origin, dirs, azimuth_order, sorted_azimuth, center_
         np.minimum.at(ranges, rays, t)
 
 
+def _scanner(world: WorldModel, cfg: LidarConfig):
+    """``simulate_scan`` of one world and scan pattern as a function of
+    (sensor pose, seed). The ray directions and each obstacle kind's stacked
+    parameters are built once, for every scan it takes."""
+    dirs_local = _ray_directions(cfg)
+    center = np.array([b.center for b in world.boxes], dtype=np.float64).reshape(-1, 3)
+    size = np.array([b.size for b in world.boxes], dtype=np.float64).reshape(-1, 3)
+    cyl = np.array([(*c.center_xy, c.radius, c.height) for c in world.cylinders],
+                   dtype=np.float64).reshape(-1, 4)
+    # per kind: bounding circles' centres and radii, exact test, its parameters
+    kinds = ((center[:, :2], 0.5 * np.hypot(size[:, 0], size[:, 1]), _intersect_box,
+              (center - size / 2.0, center + size / 2.0)),
+             (cyl[:, :2], cyl[:, 2], _intersect_cylinder, (cyl[:, :2], cyl[:, 2], cyl[:, 3])))
+
+    def scan(sensor_pose: RigidTransform, seed) -> Points:
+        origin = sensor_pose.translation
+        if origin[2] <= 0:
+            raise ValueError("sensor must be above the ground plane")
+        dirs_world = dirs_local @ sensor_pose.rotation.T
+        ranges = np.full(dirs_world.shape[0], np.inf)
+        if world.ground:
+            ranges = np.minimum(ranges, _intersect_ground(origin, dirs_world))
+        azimuth = np.arctan2(dirs_world[:, 1], dirs_world[:, 0])
+        order = np.argsort(azimuth, kind="stable")
+        sorted_azimuth = azimuth[order]
+        for kind in kinds:
+            _cast_obstacles(ranges, origin, dirs_world, order, sorted_azimuth, *kind)
+
+        rng = np.random.default_rng(seed)
+        sigma = cfg.range_noise_sigma
+        noise = rng.normal(0.0, sigma, size=ranges.shape) if sigma > 0 else np.zeros_like(ranges)
+        if sigma > 0:
+            noise = np.clip(noise, -6.0 * sigma, 6.0 * sigma)
+
+        hit = ranges <= cfg.max_range
+        r = np.maximum(ranges[hit] + noise[hit], 0.0)
+        return dirs_local[hit] * r[:, None]
+
+    return scan
+
+
 def simulate_scan(world: WorldModel, sensor_pose: RigidTransform, cfg: LidarConfig, seed=0) -> Points:
     """Cast one ray per (azimuth, elevation); keep first hits within range.
 
@@ -263,36 +304,7 @@ def simulate_scan(world: WorldModel, sensor_pose: RigidTransform, cfg: LidarConf
     """
     for s in seed if isinstance(seed, (list, tuple)) else (seed,):
         check_int("seed", s, 0)
-    origin = sensor_pose.translation
-    if origin[2] <= 0:
-        raise ValueError("sensor must be above the ground plane")
-    dirs_local = _ray_directions(cfg)
-    dirs_world = dirs_local @ sensor_pose.rotation.T
-    ranges = np.full(dirs_world.shape[0], np.inf)
-    if world.ground:
-        ranges = np.minimum(ranges, _intersect_ground(origin, dirs_world))
-    azimuth = np.arctan2(dirs_world[:, 1], dirs_world[:, 0])
-    order = np.argsort(azimuth, kind="stable")
-    sorted_azimuth = azimuth[order]
-    center = np.array([b.center for b in world.boxes], dtype=np.float64).reshape(-1, 3)
-    size = np.array([b.size for b in world.boxes], dtype=np.float64).reshape(-1, 3)
-    _cast_obstacles(ranges, origin, dirs_world, order, sorted_azimuth, center[:, :2],
-                    0.5 * np.hypot(size[:, 0], size[:, 1]), _intersect_box,
-                    (center - size / 2.0, center + size / 2.0))
-    cyl = np.array([(*c.center_xy, c.radius, c.height) for c in world.cylinders],
-                   dtype=np.float64).reshape(-1, 4)
-    _cast_obstacles(ranges, origin, dirs_world, order, sorted_azimuth, cyl[:, :2],
-                    cyl[:, 2], _intersect_cylinder, (cyl[:, :2], cyl[:, 2], cyl[:, 3]))
-
-    rng = np.random.default_rng(seed)
-    sigma = cfg.range_noise_sigma
-    noise = rng.normal(0.0, sigma, size=ranges.shape) if sigma > 0 else np.zeros_like(ranges)
-    if sigma > 0:
-        noise = np.clip(noise, -6.0 * sigma, 6.0 * sigma)
-
-    hit = ranges <= cfg.max_range
-    r = np.maximum(ranges[hit] + noise[hit], 0.0)
-    return dirs_local[hit] * r[:, None]
+    return _scanner(world, cfg)(sensor_pose, seed)
 
 
 def simulate_sequence(world: WorldModel, trajectory, cfg: LidarConfig, seed=0) -> FrameSequence:
@@ -301,10 +313,8 @@ def simulate_sequence(world: WorldModel, trajectory, cfg: LidarConfig, seed=0) -
     trajectory = list(trajectory)
     if not trajectory:
         raise ValueError("trajectory must be non-empty")
-    frames = tuple(
-        Frame(simulate_scan(world, pose, cfg, seed=[int(seed), i]), pose, i)
-        for i, pose in enumerate(trajectory)
-    )
+    scan = _scanner(world, cfg)
+    frames = tuple(Frame(scan(pose, [int(seed), i]), pose, i) for i, pose in enumerate(trajectory))
     return FrameSequence(frames)
 
 

@@ -182,13 +182,14 @@ class TestPooledBlock:
         assert x.tobytes() == before.tobytes()
         assert inputs[0] is x and (inputs[1] >= 0).all()
 
-    def test_argmax_takes_earliest_neighbor_on_ties(self, rng):
+    def test_argmax_takes_earliest_neighbor_on_ties(self, rng, monkeypatch):
         """The winner pass reads the largest rank k - j among the maximal
-        neighbors j; it picks what argmax picks, at k = 1, at the toy k,
-        and with uint8 (k = 255) and uint16 (k = 256) ranks."""
+        neighbors j; it picks what argmax picks, at k = 1, at the toy k, at
+        the toy study's k = 24, and with uint8 (k = 255) and uint16 (k = 256)
+        ranks."""
         enc, _ = tiny_params(randomize=4)
         n, d = 30, 3
-        for k in (1, TINY.k, 255, 256):
+        for k in (1, TINY.k, 24, 255, 256):
             x = rng.normal(size=(n, k, d))
             if k > 3:
                 x[:, 3] = x[:, 1]  # neighbors 1 and 3 tie in every channel
@@ -200,26 +201,78 @@ class TestPooledBlock:
                                          keep=True)
             h2v, (_, h1v) = mdl._mlp_forward(x, enc.layers[:4])
             reference = np.maximum(h2v, 0.0).argmax(axis=1)
-            winner = cache.win_ids[cache.slot]
+            rows = np.arange(n)[:, None]
+            position = cache.win_pos[cache.slot]
+            assert (position // k == rows).all()  # each point's winners are its own rows
+            winner = idx.flat[position]
             assert winner.tobytes() == reference.tobytes()
             assert (winner != 3).all() and (winner[::2] == 0).all() and (winner[1] == 0).all()
             if k > 1:
                 assert (winner[1::2] > 0).any()  # not every channel is won by neighbor 0
-            # the kept rows are exactly the winning (point, neighbor) rows, in
-            # row-major order, each with its own layer inputs
-            rows = np.arange(n)[:, None]
+            # the kept positions are exactly the winning (point, neighbor) rows,
+            # in row-major order, and the backward regathers each one's own
+            # layer inputs, in blocks of 256 winner rows and in blocks of 7
+            # that start inside a point's winner rows
             won = np.zeros((n, k), dtype=bool)
             won[rows, reference] = True
-            assert cache.win_ids.tobytes() == idx[won].tobytes()
-            assert cache.win_inputs[0].tobytes() == x[won].tobytes()
-            assert cache.win_inputs[1].tobytes() == h1v[won].tobytes()
-            assert cache.win_inputs[0][cache.slot].tobytes() == x[rows, reference].tobytes()
+            assert cache.win_pos.tobytes() == np.flatnonzero(won).tobytes()
+            for block_rows in (256, 7):
+                monkeypatch.setattr(mdl, "_BACKWARD_ROWS", block_rows)
+                blocks = [mdl._winner_inputs(enc.layers[:4], cache, r)[1]
+                          for r in mdl._row_blocks(cache.win_pos.size)]
+                x_won, h1_won = (np.concatenate(parts) for parts in zip(*blocks))
+                assert x_won.tobytes() == x[won].tobytes()
+                assert h1_won.tobytes() == h1v[won].tobytes()
+                assert x_won[cache.slot].tobytes() == x[rows, reference].tobytes()
+
+    @pytest.mark.parametrize("block_rows", [256, 7], ids=["256-row-blocks", "7-row-blocks"])
+    @pytest.mark.parametrize("k", [1, 24, 255, 256])
+    @pytest.mark.parametrize("which", ["encoder", "symmetric-decoder"])
+    def test_recomputed_winner_inputs_are_the_forward_bytes(self, rng, monkeypatch, which, k,
+                                                            block_rows):
+        """The layer inputs the backward recomputes for each block of winner
+        rows equal, to the byte, the per-neighbor inputs and ReLU'd first
+        layer the cached forward computed for those rows, over forward row
+        blocks that the backward's runs of points straddle (k = 255 and 256
+        give five forward blocks at n = 300)."""
+        monkeypatch.setattr(mdl, "_BACKWARD_ROWS", block_rows)
+        cfg = replace(SYMMETRIC, k=k)
+        enc, dec = tiny_params(randomize=9, cfg=cfg)
+        n = 300 if k > 24 else 60
+        recorded = []
+        forward = mdl._mlp_forward
+
+        def recording(x, layers):
+            out, inputs = forward(x, layers)
+            if x.ndim == 3:  # the per-neighbor stage of one forward row block
+                recorded.append([a.copy() for a in inputs])
+            return out, inputs
+
+        monkeypatch.setattr(mdl, "_mlp_forward", recording)
+        if which == "encoder":
+            layers = enc.layers
+            cache = mdl.encoder_forward_cached(rng.uniform(-3, 3, (n, 3)), enc)[1]
+        else:
+            layers = dec.layers
+            idx = rng.integers(0, n, (n, k))
+            cache = mdl.decoder_forward_cached(rng.normal(size=(n, cfg.l)), dec, idx)[1]
+        monkeypatch.setattr(mdl, "_mlp_forward", forward)
+        pool = cache.pool
+        assert len(recorded) == (5 if k > 24 else 1)
+        x_all, h1_all = (np.concatenate(parts).reshape(n * k, -1) for parts in zip(*recorded))
+        for rows in mdl._row_blocks(pool.win_pos.size):
+            points, (x_won, h1_won) = mdl._winner_inputs(layers[:4], pool, rows)
+            assert points.start == pool.win_pos[rows.start] // k
+            assert points.stop == pool.win_pos[rows.stop - 1] // k + 1
+            assert x_won.tobytes() == x_all[pool.win_pos[rows]].tobytes()
+            assert h1_won.tobytes() == h1_all[pool.win_pos[rows]].tobytes()
 
     @pytest.mark.parametrize("n", [5, 16, 41], ids=["one-block", "two-blocks", "many-blocks"])
     @pytest.mark.parametrize("which", ["encoder", "symmetric-decoder"])
     def test_blocked_and_unblocked_cached_forwards_identical(self, rng, monkeypatch, n, which):
-        """The forward caches, and the gradients backward computes from
-        them, do not depend on the row blocks."""
+        """The forward caches, the winner rows' inputs the backward
+        recomputes from them, and the gradients it computes do not depend on
+        the row blocks."""
         enc, dec = tiny_params(randomize=8, cfg=SYMMETRIC)
         cloud = rng.uniform(-3, 3, (n, 3))
         fm = rng.normal(size=(n, TINY.l))
@@ -230,13 +283,16 @@ class TestPooledBlock:
             if which == "encoder":
                 out, cache = mdl.encoder_forward_cached(cloud, enc)
                 grads = [*mdl.encoder_backward(enc, cache, d_out).values()]
+                layers = enc.layers
             else:
                 out, cache = mdl.decoder_forward_cached(fm, dec, idx)
                 dec_grads, dfm = mdl.decoder_backward(dec, cache, d_out)
                 grads = [*dec_grads.values(), dfm]
+                layers = dec.layers
             pool = cache.pool
-            return [out, pool.idx, *pool.win_inputs, pool.win_ids, pool.slot,
-                    *pool.post_inputs, *grads]
+            _, win_inputs = mdl._winner_inputs(layers[:4], pool, slice(0, pool.win_pos.size))
+            return [out, pool.idx, pool.win_pos, *win_inputs, pool.slot, *pool.post_inputs,
+                    *grads]
 
         monkeypatch.setattr(mdl, "_BLOCK_ELEMENTS", 10**12)
         whole = forward_and_backward()
@@ -343,7 +399,7 @@ class TestWinnerRowBackward:
         if case == "dead-channels":
             assert not pool.post_inputs[0][:, :cfg.encoder_hidden[1]:2].any()
         elif case == "one-neighbor-wins":
-            assert (pool.win_ids[pool.slot[0]] == cfg.k - 1).all()
+            assert (pool.idx.flat[pool.win_pos[pool.slot[0]]] == cfg.k - 1).all()
             assert pool.idx[0, -1] == cfg.k - 1
         d_f = rng.normal(size=f.shape)
         grads = mdl.encoder_backward(enc, cache, d_f)
@@ -381,7 +437,7 @@ class TestWinnerRowBackward:
         if case == "dead-channels":
             assert not pool.post_inputs[0][:, :cfg.encoder_hidden[1]:2].any()
         elif case == "one-neighbor-wins":
-            assert (pool.win_ids[pool.slot[0]] == n - 1).all()
+            assert (pool.idx.flat[pool.win_pos[pool.slot[0]]] == n - 1).all()
         d_off = rng.normal(size=offsets.shape)
         grads, dfm = mdl.decoder_backward(dec, cache, d_off)
         ref_grads, ref_dfm = dense_symmetric_decoder_backward(dec.layers, cache, fm, d_off)
@@ -393,9 +449,10 @@ class TestWinnerRowBackward:
     def test_encoder_training_pass_peak_memory(self, small_scene):
         """tracemalloc peak of one cached forward and backward of a LiDAR
         scan (N = 1,515) at the toy study's widths (k = 24, h = 32, 64, 64).
-        Measured: 10.9 MB with the winner-row cache and a backward in row
-        blocks, 17.3 MB with one (R, h2) winner-row gradient, 45 MB with a
-        dense (N, k) cache and backward."""
+        Measured: 8.5 MB when the cache keeps the winner rows' positions and
+        the backward recomputes their inputs, 10.9 MB when it keeps their
+        (R, 3) and (R, 32) inputs, 17.3 MB with one (R, h2) winner-row
+        gradient, 45 MB with a dense (N, k) cache and backward."""
         world, lidar, _ = small_scene
         pose = sim.line_trajectory((-35.0, 0.0), 0.0, 1.0, 1)[0]
         cloud = sim.simulate_scan(world, pose, replace(lidar, azimuth_steps=288), seed=0)
@@ -413,7 +470,7 @@ class TestWinnerRowBackward:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak < 14e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 9.5e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def asymmetric_reference(layers, fm, d_offsets):

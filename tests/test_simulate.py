@@ -318,6 +318,20 @@ class TestCasterMatchesPerObstacleReference:
             assert sim.simulate_scan(world, pose, cfg, seed=4).tobytes() == \
                 scan_reference(world, pose, cfg, seed=4).tobytes()
 
+    def test_sequence_of_turning_poses(self):
+        # a sequence builds its rays and obstacle arrays once: each frame's
+        # own rotation, position and seed still decide its bytes
+        world = sim.simulate_world(5, 60.0, 24)
+        cfg = sim.LidarConfig(azimuth_steps=128, elevation_angles=(-15.0, -5.0, 0.0, 8.0))
+        trajectory = [RigidTransform(rotation(yaw, pitch, roll), [x, -0.5 * x, z])
+                      for yaw, pitch, roll, x, z in [(0.0, 0.0, 0.0, -10.0, 1.5),
+                                                     (90.0, 6.0, -4.0, -4.0, 2.5),
+                                                     (200.0, -10.0, 3.0, 3.0, 1.0),
+                                                     (-45.0, 0.0, 0.0, 12.0, 1.5)]]
+        seq = sim.simulate_sequence(world, trajectory, cfg, 3)
+        assert_same_scans(seq, world, trajectory, cfg, 3)
+        assert len({frame.cloud.shape[0] for frame in seq}) > 1
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_train_apr_scene(self, seed):
         # perfbench's toy two-vehicle scene at workload seed 0
